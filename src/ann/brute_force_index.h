@@ -4,27 +4,28 @@
 #include <vector>
 
 #include "ann/index.h"
+#include "ann/vector_matrix.h"
 
 namespace saga::ann {
 
 /// Exact k-NN by full scan. The recall=1.0 baseline the IVF index is
-/// benchmarked against.
+/// benchmarked against. Selects with the fp32 scan kernel and rescores
+/// the hits in double (see TopKScan), so similarities are exactly those
+/// of a plain `Similarity` scan.
 class BruteForceIndex : public VectorIndex {
  public:
-  BruteForceIndex(int dim, Metric metric) : dim_(dim), metric_(metric) {}
+  BruteForceIndex(int dim, Metric metric) : metric_(metric), rows_(dim) {}
 
   void Add(uint64_t label, const std::vector<float>& vec) override;
   void Build() override {}
   std::vector<Neighbor> Search(const std::vector<float>& query,
                                size_t k) const override;
-  size_t size() const override { return labels_.size(); }
+  size_t size() const override { return rows_.size(); }
   Metric metric() const override { return metric_; }
 
  private:
-  int dim_;
   Metric metric_;
-  std::vector<uint64_t> labels_;
-  std::vector<float> data_;  // row-major
+  VectorMatrix rows_;
 };
 
 }  // namespace saga::ann

@@ -4,37 +4,39 @@
 #include <cassert>
 #include <limits>
 
+#include "ann/top_k_scan.h"
+
 namespace saga::ann {
 
 IvfIndex::IvfIndex(int dim, Metric metric)
     : IvfIndex(dim, metric, Options()) {}
 
 IvfIndex::IvfIndex(int dim, Metric metric, Options options)
-    : dim_(dim), metric_(metric), options_(options) {}
+    : dim_(dim), metric_(metric), options_(options), staged_(dim) {}
 
 void IvfIndex::Add(uint64_t label, const std::vector<float>& vec) {
   assert(static_cast<int>(vec.size()) == dim_);
   assert(!built_);
-  labels_.push_back(label);
-  data_.insert(data_.end(), vec.begin(), vec.end());
+  staged_.Add(label, vec.data());
+  ++size_;
 }
 
 void IvfIndex::Build() {
   if (built_) return;
   built_ = true;
-  const size_t n = labels_.size();
+  const size_t n = staged_.size();
   const int k = std::max(1, std::min<int>(options_.num_lists,
                                           static_cast<int>(n)));
   options_.num_lists = k;
   centroids_.assign(static_cast<size_t>(k) * dim_, 0.0f);
-  lists_.assign(k, {});
+  lists_.assign(k, VectorMatrix(dim_));
   if (n == 0) return;
 
   // k-means++ -lite init: random distinct points.
   Rng rng(options_.seed);
   std::vector<size_t> seeds = rng.SampleWithoutReplacement(n, k);
   for (int c = 0; c < k; ++c) {
-    std::copy(Vec(seeds[c]), Vec(seeds[c]) + dim_,
+    std::copy(staged_.row(seeds[c]), staged_.row(seeds[c]) + dim_,
               centroids_.begin() + static_cast<size_t>(c) * dim_);
   }
 
@@ -47,9 +49,9 @@ void IvfIndex::Build() {
       double best = std::numeric_limits<double>::max();
       int best_c = 0;
       for (int c = 0; c < k; ++c) {
-        const double d =
-            L2Sq(Vec(i), centroids_.data() + static_cast<size_t>(c) * dim_,
-                 dim_);
+        const double d = L2Sq(staged_.row(i),
+                              centroids_.data() + static_cast<size_t>(c) * dim_,
+                              dim_);
         if (d < best) {
           best = d;
           best_c = c;
@@ -67,7 +69,7 @@ void IvfIndex::Build() {
       const int c = assign[i];
       ++counts[c];
       for (int d = 0; d < dim_; ++d) {
-        sums[static_cast<size_t>(c) * dim_ + d] += Vec(i)[d];
+        sums[static_cast<size_t>(c) * dim_ + d] += staged_.row(i)[d];
       }
     }
     for (int c = 0; c < k; ++c) {
@@ -81,8 +83,9 @@ void IvfIndex::Build() {
     if (!changed) break;
   }
   for (size_t i = 0; i < n; ++i) {
-    lists_[assign[i]].push_back(static_cast<uint32_t>(i));
+    lists_[assign[i]].Add(staged_.label(i), staged_.row(i));
   }
+  staged_.Clear();
 }
 
 std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
@@ -101,25 +104,11 @@ std::vector<Neighbor> IvfIndex::Search(const std::vector<float>& query,
   }
   std::sort(centroid_order.begin(), centroid_order.end());
 
-  std::vector<Neighbor> heap;
-  auto cmp = [](const Neighbor& a, const Neighbor& b) {
-    return a.similarity > b.similarity;
-  };
+  TopKScan scan(metric_, query, k);
   for (int p = 0; p < nprobe; ++p) {
-    for (uint32_t i : lists_[centroid_order[p].second]) {
-      const double sim = Similarity(metric_, query.data(), Vec(i), dim_);
-      if (heap.size() < k) {
-        heap.push_back(Neighbor{labels_[i], sim});
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      } else if (!heap.empty() && sim > heap.front().similarity) {
-        std::pop_heap(heap.begin(), heap.end(), cmp);
-        heap.back() = Neighbor{labels_[i], sim};
-        std::push_heap(heap.begin(), heap.end(), cmp);
-      }
-    }
+    scan.Scan(lists_[centroid_order[p].second]);
   }
-  std::sort_heap(heap.begin(), heap.end(), cmp);
-  return heap;
+  return scan.Finish();
 }
 
 }  // namespace saga::ann

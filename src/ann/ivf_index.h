@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ann/index.h"
+#include "ann/vector_matrix.h"
 #include "common/rng.h"
 
 namespace saga::ann {
@@ -12,6 +13,8 @@ namespace saga::ann {
 /// corpus, one posting list per centroid; a query scans only the
 /// `nprobe` nearest lists. The knob behind the paper's §3.2
 /// price/performance curve for the related-entities / reranker cache.
+/// Each posting list is a contiguous VectorMatrix scanned with the same
+/// kernel and top-k selection as BruteForceIndex.
 class IvfIndex : public VectorIndex {
  public:
   struct Options {
@@ -28,7 +31,7 @@ class IvfIndex : public VectorIndex {
   void Build() override;
   std::vector<Neighbor> Search(const std::vector<float>& query,
                                size_t k) const override;
-  size_t size() const override { return labels_.size(); }
+  size_t size() const override { return size_; }
   Metric metric() const override { return metric_; }
 
   void set_nprobe(int nprobe) { options_.nprobe = nprobe; }
@@ -36,15 +39,13 @@ class IvfIndex : public VectorIndex {
   int num_lists() const { return options_.num_lists; }
 
  private:
-  const float* Vec(size_t i) const { return data_.data() + i * dim_; }
-
   int dim_;
   Metric metric_;
   Options options_;
-  std::vector<uint64_t> labels_;
-  std::vector<float> data_;
-  std::vector<float> centroids_;            // num_lists x dim
-  std::vector<std::vector<uint32_t>> lists_;  // item indexes per centroid
+  size_t size_ = 0;
+  VectorMatrix staged_;              // Add()ed rows; released by Build()
+  std::vector<float> centroids_;     // num_lists x dim
+  std::vector<VectorMatrix> lists_;  // rows per centroid
   bool built_ = false;
 };
 

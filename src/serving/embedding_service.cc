@@ -92,21 +92,27 @@ void EmbeddingService::BuildIndexWithFallback() {
   (void)BuildIndexOnce(IndexKind::kExact);
 }
 
-Result<std::vector<float>> EmbeddingService::GetEmbedding(
+Result<const std::vector<float>*> EmbeddingService::Find(
     kg::EntityId id) const {
   const std::vector<float>* vec = store_.Get(id);
   if (vec == nullptr) {
     return Status::NotFound("no embedding for entity " +
                             std::to_string(id.value()));
   }
+  return vec;
+}
+
+Result<std::vector<float>> EmbeddingService::GetEmbedding(
+    kg::EntityId id) const {
+  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* vec, Find(id));
   return *vec;
 }
 
 Result<double> EmbeddingService::Similarity(kg::EntityId a,
                                             kg::EntityId b) const {
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> va, GetEmbedding(a));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> vb, GetEmbedding(b));
-  return ann::Similarity(options_.metric, va.data(), vb.data(), va.size());
+  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* va, Find(a));
+  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* vb, Find(b));
+  return ann::Similarity(options_.metric, va->data(), vb->data(), va->size());
 }
 
 std::vector<double> EmbeddingService::BatchSimilarity(
@@ -138,8 +144,8 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter) const {
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> query, GetEmbedding(id));
-  auto hits = TopKForVector(query, k + 1, type_filter);
+  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* query, Find(id));
+  auto hits = TopKForVector(*query, k + 1, type_filter);
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const auto& [e, sim] : hits) {
     if (e == id) continue;
@@ -173,9 +179,9 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
   SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.topk"));
-  SAGA_ASSIGN_OR_RETURN(std::vector<float> query, GetEmbedding(id));
+  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* query, Find(id));
   SAGA_ASSIGN_OR_RETURN(auto hits,
-                        TopKForVector(query, k + 1, type_filter, ctx));
+                        TopKForVector(*query, k + 1, type_filter, ctx));
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const auto& [e, sim] : hits) {
     if (e == id) continue;

@@ -137,6 +137,8 @@ class EmbeddingService {
   double HedgeDelayMs() const;
 
  private:
+  /// The stored embedding of `id` without copying it; NotFound if none.
+  Result<const std::vector<float>*> Find(kg::EntityId id) const;
   bool PassesTypeFilter(kg::EntityId id, kg::TypeId type) const;
 
   /// Builds (with retries) the configured index, falling back to exact

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -7,6 +8,8 @@
 #include "ann/distance.h"
 #include "ann/ivf_index.h"
 #include "ann/quantization.h"
+#include "ann/scan_kernel.h"
+#include "ann/vector_matrix.h"
 #include "common/rng.h"
 
 namespace saga::ann {
@@ -185,6 +188,207 @@ TEST(IvfTest, EmptyIndexIsFine) {
   IvfIndex ivf(4, Metric::kDot);
   ivf.Build();
   EXPECT_TRUE(ivf.Search({0, 0, 0, 0}, 3).empty());
+}
+
+// ---------- Scan kernel ----------
+
+const int kKernelDims[] = {1, 3, 7, 8, 31, 32, 33, 100};
+const size_t kKernelRows[] = {0, 1, 3, 4, 5, 255, 256, 257, 1000};
+const Metric kMetrics[] = {Metric::kDot, Metric::kCosine, Metric::kL2};
+
+// Gaussian rows with every fifth row zero; labels scrambled so that
+// label order (the tie-break) differs from insertion order.
+struct KernelCase {
+  std::vector<std::vector<float>> rows;
+  std::vector<uint64_t> labels;
+  VectorMatrix matrix;
+};
+
+KernelCase MakeKernelCase(size_t n, int dim, uint64_t seed) {
+  KernelCase c{RandomVectors(n, dim, seed), {}, VectorMatrix(dim)};
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 5 == 2) std::fill(c.rows[i].begin(), c.rows[i].end(), 0.0f);
+    c.labels.push_back((i * 7919) % 10007);
+    c.matrix.Add(c.labels[i], c.rows[i].data());
+  }
+  return c;
+}
+
+std::vector<std::vector<float>> KernelQueries(int dim, uint64_t seed) {
+  return {RandomVectors(1, dim, seed)[0], std::vector<float>(dim, 0.0f)};
+}
+
+float InvNorm(const std::vector<float>& v) {
+  const double n = Norm(v.data(), v.size());
+  return n > 0.0 ? static_cast<float>(1.0 / n) : 0.0f;
+}
+
+std::vector<float> ScoreAll(ScoreBlockFn fn, Metric metric,
+                            const std::vector<float>& query,
+                            const VectorMatrix& m) {
+  std::vector<float> scores(m.size());
+  fn(metric, query.data(), InvNorm(query), m.row(0), m.inv_norms(), m.size(),
+     query.size(), scores.data());
+  return scores;
+}
+
+// The plain reference: every similarity in double, best first, ties by
+// label.
+std::vector<Neighbor> ReferenceTopK(Metric metric, const KernelCase& c,
+                                    const std::vector<float>& query,
+                                    size_t k) {
+  std::vector<Neighbor> all;
+  for (size_t i = 0; i < c.rows.size(); ++i) {
+    all.push_back(Neighbor{c.labels[i], Similarity(metric, query.data(),
+                                                   c.rows[i].data(),
+                                                   query.size())});
+  }
+  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.label < b.label;
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameHits(const std::vector<Neighbor>& got,
+                    const std::vector<Neighbor>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label) << what << " rank " << i;
+    EXPECT_EQ(got[i].similarity, want[i].similarity) << what << " rank " << i;
+  }
+}
+
+TEST(ScanKernelTest, Avx2MatchesScalarReference) {
+  if (!CpuHasAvx2Fma()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  for (int dim : kKernelDims) {
+    for (size_t n : kKernelRows) {
+      const KernelCase c = MakeKernelCase(n, dim, 1000 * dim + n);
+      for (const auto& query : KernelQueries(dim, 7 * dim + n)) {
+        for (Metric metric : kMetrics) {
+          const auto scalar = ScoreAll(&ScoreBlockScalar, metric, query,
+                                       c.matrix);
+          const auto avx2 = ScoreAll(&ScoreBlockAvx2, metric, query,
+                                     c.matrix);
+          for (size_t i = 0; i < n; ++i) {
+            // Relative error, floored at magnitude 1 so a score that
+            // cancels to ~0 is not held to a tighter bound than fp32 has.
+            const double scale = std::max(1.0, std::abs(double{scalar[i]}));
+            EXPECT_LE(std::abs(double{avx2[i]} - scalar[i]), 1e-5 * scale)
+                << "dim " << dim << " n " << n << " row " << i << " metric "
+                << static_cast<int>(metric);
+          }
+        }
+      }
+    }
+  }
+}
+
+// TopKScan's exactness rests on this bound: every fp32 kernel score is
+// within (dim + 4) * 2^-24 * scale of the double similarity.
+TEST(ScanKernelTest, KernelsStayWithinTheRoundingBound) {
+  std::vector<std::pair<const char*, ScoreBlockFn>> kernels = {
+      {"scalar", &ScoreBlockScalar}};
+  if (CpuHasAvx2Fma()) kernels.emplace_back("avx2", &ScoreBlockAvx2);
+  for (int dim : kKernelDims) {
+    const KernelCase c = MakeKernelCase(257, dim, 31 * dim);
+    for (const auto& query : KernelQueries(dim, 17 * dim)) {
+      const double qn = Norm(query.data(), dim);
+      for (Metric metric : kMetrics) {
+        for (const auto& [name, fn] : kernels) {
+          const auto scores = ScoreAll(fn, metric, query, c.matrix);
+          for (size_t i = 0; i < c.rows.size(); ++i) {
+            const double rn = Norm(c.rows[i].data(), dim);
+            double scale = 1.0;
+            if (metric == Metric::kDot) scale = qn * rn;
+            if (metric == Metric::kL2) scale = (qn + rn) * (qn + rn);
+            const double want =
+                Similarity(metric, query.data(), c.rows[i].data(), dim);
+            EXPECT_LE(std::abs(scores[i] - want),
+                      (dim + 4) * std::ldexp(scale, -24))
+                << name << " dim " << dim << " row " << i << " metric "
+                << static_cast<int>(metric);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, DispatchPicksAvx2WhenPresent) {
+  EXPECT_EQ(ScoreBlock() == &ScoreBlockAvx2, CpuHasAvx2Fma());
+  EXPECT_STREQ(ScoreBlockName(), CpuHasAvx2Fma() ? "avx2+fma" : "scalar");
+}
+
+TEST(ScanKernelTest, IndexesMatchPlainDoubleScan) {
+  for (int dim : kKernelDims) {
+    for (size_t n : kKernelRows) {
+      const KernelCase c = MakeKernelCase(n, dim, 2000 * dim + n);
+      for (Metric metric : kMetrics) {
+        BruteForceIndex exact(dim, metric);
+        IvfIndex::Options opts;
+        opts.num_lists = 8;
+        opts.nprobe = 8;  // every list: exact
+        IvfIndex ivf(dim, metric, opts);
+        for (size_t i = 0; i < n; ++i) {
+          exact.Add(c.labels[i], c.rows[i]);
+          ivf.Add(c.labels[i], c.rows[i]);
+        }
+        ivf.Build();
+        for (const auto& query : KernelQueries(dim, 3 * dim + n)) {
+          for (size_t k : {size_t{1}, size_t{11}, size_t{50}}) {
+            const auto want = ReferenceTopK(metric, c, query, k);
+            const std::string what =
+                "dim " + std::to_string(dim) + " n " + std::to_string(n) +
+                " metric " + std::to_string(static_cast<int>(metric)) +
+                " k " + std::to_string(k);
+            ExpectSameHits(exact.Search(query, k), want, "exact " + what);
+            ExpectSameHits(ivf.Search(query, k), want, "ivf " + what);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Rows closer together than fp32 can tell apart, plus exact
+// duplicates: the fp32 pool boundary is a near tie, so the result must
+// come from the rescoring second pass and still match the double scan.
+TEST(ScanKernelTest, NearTiesAndDuplicatesMatchPlainDoubleScan) {
+  const int dim = 32;
+  const auto base = RandomVectors(1, dim, 5)[0];
+  KernelCase c{{}, {}, VectorMatrix(dim)};
+  Rng rng(6);
+  for (size_t i = 0; i < 600; ++i) {
+    std::vector<float> row = base;
+    if (i % 3 != 0) {
+      // A few ulps on one component.
+      const size_t d = rng.Uniform(dim);
+      for (uint64_t u = rng.Uniform(4); u > 0; --u) {
+        row[d] = std::nextafter(row[d], rng.Bernoulli(0.5) ? 1e9f : -1e9f);
+      }
+    }
+    c.rows.push_back(row);
+    c.labels.push_back((i * 7919) % 10007);
+    c.matrix.Add(c.labels.back(), row.data());
+  }
+  const auto far = RandomVectors(1, dim, 8)[0];
+  for (Metric metric : kMetrics) {
+    BruteForceIndex exact(dim, metric);
+    for (size_t i = 0; i < c.rows.size(); ++i) {
+      exact.Add(c.labels[i], c.rows[i]);
+    }
+    for (const auto& query : {base, far}) {
+      for (size_t k : {size_t{1}, size_t{11}, size_t{100}}) {
+        ExpectSameHits(exact.Search(query, k),
+                       ReferenceTopK(metric, c, query, k),
+                       "metric " + std::to_string(static_cast<int>(metric)) +
+                           " k " + std::to_string(k));
+      }
+    }
+  }
 }
 
 // ---------- Quantization ----------
