@@ -14,6 +14,10 @@ namespace saga::graph_engine {
 /// Personalized PageRank over a graph view, via the Andersen-Chung-Lang
 /// forward-push approximation. Serves as the classical (non-embedding)
 /// related-entities baseline and as a graph-signal feature.
+///
+/// The push runs over the view's CSR adjacency on dense per-thread
+/// scratch (see DESIGN.md §5.2), so concurrent calls on one engine are
+/// safe and need no lock.
 class PprEngine {
  public:
   struct Options {
@@ -25,8 +29,8 @@ class PprEngine {
   explicit PprEngine(const GraphView* view);
   PprEngine(const GraphView* view, Options options);
 
-  /// Approximate PPR vector from `source` (local id); only nonzero
-  /// entries are returned.
+  /// Approximate PPR vector from `source` (local id): one entry per
+  /// node the push settled mass on.
   std::unordered_map<uint32_t, double> Ppr(uint32_t source) const;
 
   /// Deadline-aware serving variant: checks `ctx` at push-loop
@@ -44,7 +48,9 @@ class PprEngine {
 
  private:
   Status PprImpl(uint32_t source, const RequestContext* ctx,
-                 std::unordered_map<uint32_t, double>* p) const;
+                 std::unordered_map<uint32_t, double>* out) const;
+  Status TopKImpl(uint32_t source, size_t k, const RequestContext* ctx,
+                  std::vector<std::pair<uint32_t, double>>* out) const;
 
   const GraphView* view_;
   Options options_;

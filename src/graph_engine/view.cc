@@ -87,7 +87,7 @@ void GraphView::ApplyDelta(const kg::KnowledgeGraph& kg,
     e.relation = InternRelation(t.predicate);
     e.dst = InternEntity(t.object.entity());
     edges_.push_back(e);
-    adjacency_valid_ = false;
+    adjacency_.valid.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -101,16 +101,41 @@ uint32_t GraphView::local_relation(kg::PredicateId p) const {
   return it == relation_to_local_.end() ? kNotInView : it->second;
 }
 
-const std::vector<std::vector<uint32_t>>& GraphView::Adjacency() const {
-  if (!adjacency_valid_) {
-    adjacency_.assign(num_entities(), {});
-    for (const ViewEdge& e : edges_) {
-      adjacency_[e.src].push_back(e.dst);
-      adjacency_[e.dst].push_back(e.src);
-    }
-    adjacency_valid_ = true;
+Csr::Csr(size_t num_nodes, const std::vector<ViewEdge>& edges)
+    : offsets_(num_nodes + 1, 0), neighbors_(edges.size() * 2) {
+  for (const ViewEdge& e : edges) {
+    ++offsets_[e.src + 1];
+    ++offsets_[e.dst + 1];
   }
-  return adjacency_;
+  for (size_t u = 0; u < num_nodes; ++u) offsets_[u + 1] += offsets_[u];
+  // Fill in edge order so each list matches the order edges arrived.
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const ViewEdge& e : edges) {
+    neighbors_[cursor[e.src]++] = e.dst;
+    neighbors_[cursor[e.dst]++] = e.src;
+  }
+}
+
+GraphView::LazyCsr::LazyCsr(LazyCsr&& other) noexcept
+    : csr(std::move(other.csr)),
+      valid(other.valid.exchange(false, std::memory_order_relaxed)) {}
+
+GraphView::LazyCsr& GraphView::LazyCsr::operator=(LazyCsr&& other) noexcept {
+  csr = std::move(other.csr);
+  valid.store(other.valid.exchange(false, std::memory_order_relaxed),
+              std::memory_order_relaxed);
+  return *this;
+}
+
+const Csr& GraphView::Adjacency() const {
+  if (!adjacency_.valid.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(adjacency_.mu);
+    if (!adjacency_.valid.load(std::memory_order_relaxed)) {
+      adjacency_.csr = Csr(num_entities(), edges_);
+      adjacency_.valid.store(true, std::memory_order_release);
+    }
+  }
+  return adjacency_.csr;
 }
 
 }  // namespace saga::graph_engine

@@ -1,7 +1,10 @@
 #ifndef SAGA_GRAPH_ENGINE_VIEW_H_
 #define SAGA_GRAPH_ENGINE_VIEW_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +39,42 @@ struct ViewEdge {
   uint32_t dst = 0;       // local entity id
 };
 
+/// Undirected adjacency in compressed sparse row form: the neighbours
+/// of local id u are neighbors_[offsets_[u], offsets_[u + 1]), in the
+/// order the edges were added (each edge u-v lists v under u and u
+/// under v).
+class Csr {
+ public:
+  class Iterator {
+   public:
+    Iterator(const Csr* csr, uint32_t u) : csr_(csr), u_(u) {}
+    std::span<const uint32_t> operator*() const { return (*csr_)[u_]; }
+    Iterator& operator++() {
+      ++u_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const = default;
+
+   private:
+    const Csr* csr_;
+    uint32_t u_;
+  };
+
+  Csr() = default;
+  Csr(size_t num_nodes, const std::vector<ViewEdge>& edges);
+
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+  std::span<const uint32_t> operator[](uint32_t u) const {
+    return {neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
+  }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, static_cast<uint32_t>(size())); }
+
+ private:
+  std::vector<size_t> offsets_;
+  std::vector<uint32_t> neighbors_;
+};
+
 /// Materialized filtered projection with dense local ids for entities
 /// and relations — the exact shape embedding trainers consume.
 /// Supports incremental maintenance (the KG is continuously growing).
@@ -66,8 +105,10 @@ class GraphView {
   uint32_t local_entity(kg::EntityId e) const;
   uint32_t local_relation(kg::PredicateId p) const;
 
-  /// Undirected adjacency over view edges (built lazily, cached).
-  const std::vector<std::vector<uint32_t>>& Adjacency() const;
+  /// Undirected adjacency over view edges. Built on first call after
+  /// Build/ApplyDelta and cached; concurrent const callers are safe
+  /// (one builds, the rest wait for it).
+  const Csr& Adjacency() const;
 
   static constexpr uint32_t kNotInView = 0xFFFFFFFFu;
 
@@ -83,8 +124,20 @@ class GraphView {
   std::unordered_map<kg::EntityId, uint32_t> entity_to_local_;
   std::unordered_map<kg::PredicateId, uint32_t> relation_to_local_;
   std::unordered_map<kg::PredicateId, uint64_t> predicate_counts_;
-  mutable std::vector<std::vector<uint32_t>> adjacency_;
-  mutable bool adjacency_valid_ = false;
+
+  /// The cached adjacency plus its double-checked build guard. Moving
+  /// it is a write, like ApplyDelta: the caller must hold the view
+  /// exclusively.
+  struct LazyCsr {
+    LazyCsr() = default;
+    LazyCsr(LazyCsr&& other) noexcept;
+    LazyCsr& operator=(LazyCsr&& other) noexcept;
+
+    Csr csr;
+    std::atomic<bool> valid{false};
+    std::mutex mu;
+  };
+  mutable LazyCsr adjacency_;
 };
 
 }  // namespace saga::graph_engine

@@ -27,29 +27,20 @@ bool RelatedEntitiesService::PassesTypeFilter(kg::EntityId id,
   return false;
 }
 
-std::vector<std::pair<kg::EntityId, double>>
-RelatedEntitiesService::PprRelated(kg::EntityId id, size_t k,
-                                   kg::TypeId type_filter) const {
-  const uint32_t local = view_->local_entity(id);
-  std::vector<std::pair<kg::EntityId, double>> out;
-  if (local == graph_engine::GraphView::kNotInView) return out;
-  for (const auto& [l, score] : ppr_->TopKRelated(local, k * 8 + 16)) {
-    const kg::EntityId e = view_->global_entity(l);
-    if (!PassesTypeFilter(e, type_filter)) continue;
-    out.emplace_back(e, score);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
 Result<std::vector<std::pair<kg::EntityId, double>>>
 RelatedEntitiesService::PprRelated(kg::EntityId id, size_t k,
                                    kg::TypeId type_filter,
-                                   const RequestContext& ctx) const {
+                                   const RequestContext* ctx) const {
   const uint32_t local = view_->local_entity(id);
   std::vector<std::pair<kg::EntityId, double>> out;
   if (local == graph_engine::GraphView::kNotInView) return out;
-  SAGA_ASSIGN_OR_RETURN(auto ranked, ppr_->TopKRelated(local, k * 8 + 16, ctx));
+  const size_t fetch = k * 8 + 16;
+  std::vector<std::pair<uint32_t, double>> ranked;
+  if (ctx == nullptr) {
+    ranked = ppr_->TopKRelated(local, fetch);
+  } else {
+    SAGA_ASSIGN_OR_RETURN(ranked, ppr_->TopKRelated(local, fetch, *ctx));
+  }
   for (const auto& [l, score] : ranked) {
     const kg::EntityId e = view_->global_entity(l);
     if (!PassesTypeFilter(e, type_filter)) continue;
@@ -90,7 +81,7 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
     case Mode::kPpr: {
       SAGA_ASSIGN_OR_RETURN(
           auto hits,
-          PprRelated(id, k + excluded.size() + 8, type_filter, ctx));
+          PprRelated(id, k + excluded.size() + 8, type_filter, &ctx));
       return filter(std::move(hits));
     }
     case Mode::kBlend: {
@@ -98,7 +89,7 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
           auto emb_hits,
           embeddings_->TopKNeighbors(id, k * 4 + 16, type_filter, ctx));
       SAGA_ASSIGN_OR_RETURN(auto ppr_hits,
-                            PprRelated(id, k * 4 + 16, type_filter, ctx));
+                            PprRelated(id, k * 4 + 16, type_filter, &ctx));
       std::unordered_map<kg::EntityId, double> fused;
       const double w = options_.blend_embedding_weight;
       for (size_t i = 0; i < emb_hits.size(); ++i) {
@@ -147,13 +138,18 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
               id, k + excluded.size() + 8, type_filter));
       return filter(std::move(hits));
     }
-    case Mode::kPpr:
-      return filter(PprRelated(id, k + excluded.size() + 8, type_filter));
+    case Mode::kPpr: {
+      SAGA_ASSIGN_OR_RETURN(
+          auto hits,
+          PprRelated(id, k + excluded.size() + 8, type_filter, nullptr));
+      return filter(std::move(hits));
+    }
     case Mode::kBlend: {
       SAGA_ASSIGN_OR_RETURN(
           auto emb_hits,
           embeddings_->TopKNeighbors(id, k * 4 + 16, type_filter));
-      auto ppr_hits = PprRelated(id, k * 4 + 16, type_filter);
+      SAGA_ASSIGN_OR_RETURN(auto ppr_hits,
+                            PprRelated(id, k * 4 + 16, type_filter, nullptr));
       // Reciprocal-rank fusion: robust to incomparable score scales.
       std::unordered_map<kg::EntityId, double> fused;
       const double w = options_.blend_embedding_weight;

@@ -50,11 +50,11 @@ class RelatedEntitiesService {
       const RequestContext& ctx) const;
 
  private:
-  std::vector<std::pair<kg::EntityId, double>> PprRelated(
-      kg::EntityId id, size_t k, kg::TypeId type_filter) const;
+  /// PPR leg; `ctx` == nullptr skips deadline checks and fault
+  /// injection.
   Result<std::vector<std::pair<kg::EntityId, double>>> PprRelated(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
-      const RequestContext& ctx) const;
+      const RequestContext* ctx) const;
   bool PassesTypeFilter(kg::EntityId id, kg::TypeId type) const;
 
   const kg::KnowledgeGraph* kg_;

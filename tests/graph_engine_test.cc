@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <latch>
 #include <set>
+#include <thread>
+#include <unordered_map>
 
+#include "common/fault_injection.h"
 #include "common/file_util.h"
+#include "common/request_context.h"
 #include "graph_engine/partitioner.h"
 #include "graph_engine/ppr.h"
 #include "graph_engine/query.h"
@@ -121,6 +128,40 @@ TEST(GraphViewTest, ApplyDeltaAddsNewEdges) {
   EXPECT_EQ(view.edges().size(), before + 1);
   EXPECT_EQ(view.num_entities(), entities_before + 1);
   EXPECT_NE(view.local_entity(fresh), GraphView::kNotInView);
+}
+
+TEST(GraphViewTest, AdjacencyListsNeighborsInEdgeOrder) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  std::vector<std::vector<uint32_t>> want(view.num_entities());
+  for (const ViewEdge& e : view.edges()) {
+    want[e.src].push_back(e.dst);
+    want[e.dst].push_back(e.src);
+  }
+  const auto& adj = view.Adjacency();
+  ASSERT_EQ(adj.size(), want.size());
+  for (uint32_t u = 0; u < want.size(); ++u) {
+    EXPECT_TRUE(std::equal(adj[u].begin(), adj[u].end(), want[u].begin(),
+                           want[u].end()))
+        << "node " << u;
+  }
+}
+
+TEST(GraphViewTest, ApplyDeltaRebuildsAdjacency) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  const size_t before = view.Adjacency().size();
+  kg::EntityId fresh =
+      gen.kg.catalog().AddEntity("Fresh Person", {gen.schema.person});
+  const kg::SourceId src = gen.kg.AddSource("delta", 1.0);
+  view.ApplyDelta(gen.kg, {gen.kg.AddFact(fresh, gen.schema.spouse,
+                                          kg::Value::Entity(kg::EntityId(0)),
+                                          src)});
+  const auto& adj = view.Adjacency();
+  ASSERT_EQ(adj.size(), before + 1);
+  const uint32_t local = view.local_entity(fresh);
+  ASSERT_EQ(adj[local].size(), 1u);
+  EXPECT_EQ(adj[local][0], view.local_entity(kg::EntityId(0)));
 }
 
 TEST(GraphViewTest, AdjacencyIsSymmetric) {
@@ -519,6 +560,229 @@ TEST(PprTest, NeighborsOutrankDistantNodes) {
   if (other_n > 0) {
     EXPECT_GT(nbr_sum / nbr_n, other_sum / other_n);
   }
+}
+
+// ---------- PPR: dense push vs the hash-map reference ----------
+
+using Scores = std::unordered_map<uint32_t, double>;
+using Ranked = std::vector<std::pair<uint32_t, double>>;
+
+/// The hash-map forward push PprEngine used before the dense-scratch
+/// rewrite, kept verbatim (minus the deadline/fault hooks) as the
+/// oracle: the engine must reproduce its scores bit for bit.
+Scores ReferencePpr(const GraphView& view, const PprEngine::Options& options_,
+                    uint32_t source) {
+  const auto& adj = view.Adjacency();
+  std::unordered_map<uint32_t, double> p;
+  std::unordered_map<uint32_t, double> r;
+  r[source] = 1.0;
+  std::deque<uint32_t> queue{source};
+  std::unordered_map<uint32_t, bool> queued;
+  queued[source] = true;
+
+  size_t pushes = 0;
+  while (!queue.empty() && pushes < options_.max_pushes) {
+    const uint32_t u = queue.front();
+    queue.pop_front();
+    queued[u] = false;
+    const double ru = r[u];
+    const size_t deg = adj[u].size();
+    if (deg == 0) {
+      // Dangling node: absorb the residual.
+      p[u] += ru;
+      r[u] = 0.0;
+      continue;
+    }
+    if (ru / static_cast<double>(deg) < options_.epsilon) continue;
+    ++pushes;
+    p[u] += options_.alpha * ru;
+    const double push = (1.0 - options_.alpha) * ru /
+                        static_cast<double>(deg);
+    r[u] = 0.0;
+    for (uint32_t v : adj[u]) {
+      r[v] += push;
+      if (!queued[v] &&
+          r[v] / std::max<size_t>(1, adj[v].size()) >= options_.epsilon) {
+        queue.push_back(v);
+        queued[v] = true;
+      }
+    }
+  }
+  return p;
+}
+
+Ranked ReferenceTopK(std::unordered_map<uint32_t, double> scores,
+                     uint32_t source, size_t k) {
+  scores.erase(source);
+  std::vector<std::pair<uint32_t, double>> out(scores.begin(), scores.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (out.size() > k) out.resize(k);
+  return out;
+}
+
+constexpr size_t kTopKs[] = {1, 10, 168, 1u << 20};
+
+/// Every source of `view`: Ppr and TopKRelated equal the reference
+/// exactly (same keys, `==` on every double).
+void ExpectMatchesReference(const GraphView& view,
+                            const PprEngine::Options& options) {
+  PprEngine ppr(&view, options);
+  for (uint32_t source = 0; source < view.num_entities(); ++source) {
+    const Scores want = ReferencePpr(view, options, source);
+    ASSERT_EQ(ppr.Ppr(source), want) << "source " << source;
+    for (size_t k : kTopKs) {
+      ASSERT_EQ(ppr.TopKRelated(source, k), ReferenceTopK(want, source, k))
+          << "source " << source << " k " << k;
+    }
+  }
+}
+
+TEST(PprDifferentialTest, MatchesReferenceAtDefaultEpsilon) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  ExpectMatchesReference(view, PprEngine::Options());
+}
+
+TEST(PprDifferentialTest, MatchesReferenceOnLargerKg) {
+  kg::GeneratedKg gen = kg::GenerateKg(kg::KgGeneratorConfig());
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  ExpectMatchesReference(view, PprEngine::Options());
+}
+
+TEST(PprDifferentialTest, MatchesReferenceAtTightEpsilon) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  PprEngine::Options tight;
+  tight.epsilon /= 100;
+  tight.max_pushes *= 100;
+  ExpectMatchesReference(view, tight);
+}
+
+TEST(PprDifferentialTest, MatchesReferenceUnderPushCap) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  for (size_t cap : {1u, 3u, 17u}) {
+    PprEngine::Options capped;
+    capped.max_pushes = cap;
+    ExpectMatchesReference(view, capped);
+  }
+}
+
+TEST(PprDifferentialTest, ServingVariantMatchesReference) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  PprEngine ppr(&view);
+  const RequestContext generous = RequestContext::WithTimeoutMillis(60'000.0);
+  for (uint32_t source = 0; source < view.num_entities(); source += 7) {
+    const Scores want = ReferencePpr(view, PprEngine::Options(), source);
+    auto got = ppr.Ppr(source, generous);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, want);
+    auto top = ppr.TopKRelated(source, 10, generous);
+    ASSERT_TRUE(top.ok());
+    EXPECT_EQ(*top, ReferenceTopK(want, source, 10));
+  }
+}
+
+/// A source whose push runs for many steps (the highest-degree node).
+uint32_t HubSource(const GraphView& view) {
+  const auto& adj = view.Adjacency();
+  uint32_t hub = 0;
+  for (uint32_t u = 0; u < adj.size(); ++u) {
+    if (adj[u].size() > adj[hub].size()) hub = u;
+  }
+  return hub;
+}
+
+TEST(PprDifferentialTest, FailedCallsLeaveScratchClean) {
+  kg::GeneratedKg gen = MakeKg();
+  GraphView view = GraphView::Build(gen.kg, ViewDefinition());
+  PprEngine ppr(&view);
+  const uint32_t hub = HubSource(view);
+
+  Scores fresh_scores;
+  Ranked fresh_top;
+  std::thread([&] {
+    fresh_scores = ppr.Ppr(hub);
+    fresh_top = ppr.TopKRelated(hub, 10);
+  }).join();
+  ASSERT_GT(fresh_scores.size(), 40u);
+
+  const RequestContext expired = RequestContext::WithTimeoutMillis(-1.0);
+  EXPECT_TRUE(ppr.Ppr(hub, expired).status().IsDeadlineExceeded());
+  EXPECT_EQ(ppr.Ppr(hub), fresh_scores);
+  EXPECT_TRUE(ppr.TopKRelated(hub, 10, expired).status().IsDeadlineExceeded());
+  EXPECT_EQ(ppr.TopKRelated(hub, 10), fresh_top);
+
+  // Fail deep inside the push, after the scratch has been dirtied.
+  const RequestContext generous = RequestContext::WithTimeoutMillis(60'000.0);
+  FaultSpec spec;
+  spec.fail_nth = 40;
+  {
+    ScopedFault fault("graph.traverse", spec);
+    EXPECT_FALSE(ppr.Ppr(hub, generous).ok());
+  }
+  EXPECT_EQ(ppr.Ppr(hub), fresh_scores);
+  {
+    ScopedFault fault("graph.traverse", spec);
+    EXPECT_FALSE(ppr.TopKRelated(hub, 10, generous).ok());
+  }
+  EXPECT_EQ(ppr.TopKRelated(hub, 10), fresh_top);
+}
+
+TEST(PprDifferentialTest, EnginesOverDifferentViewsInterleave) {
+  kg::GeneratedKg small_gen = MakeKg();
+  GraphView small = GraphView::Build(small_gen.kg, ViewDefinition());
+  kg::GeneratedKg large_gen = kg::GenerateKg(kg::KgGeneratorConfig());
+  GraphView large = GraphView::Build(large_gen.kg, ViewDefinition());
+  ASSERT_LT(small.num_entities(), large.num_entities());
+  PprEngine small_ppr(&small);
+  PprEngine large_ppr(&large);
+  const PprEngine::Options options;
+  // Small first, so the thread's scratch grows mid-sequence.
+  for (uint32_t i = 0; i < small.num_entities(); i += 5) {
+    const uint32_t big = (i * 7919u) % large.num_entities();
+    EXPECT_EQ(small_ppr.Ppr(i), ReferencePpr(small, options, i));
+    EXPECT_EQ(large_ppr.Ppr(big), ReferencePpr(large, options, big));
+    EXPECT_EQ(small_ppr.TopKRelated(i, 10),
+              ReferenceTopK(ReferencePpr(small, options, i), i, 10));
+  }
+}
+
+TEST(PprConcurrencyTest, ThreadsShareAnUnbuiltView) {
+  kg::GeneratedKg gen = kg::GenerateKg(kg::KgGeneratorConfig());
+  // The expected answers come from a separate but identical view, so
+  // nothing builds `fresh`'s adjacency before the threads race to.
+  GraphView expected_view = GraphView::Build(gen.kg, ViewDefinition());
+  GraphView fresh = GraphView::Build(gen.kg, ViewDefinition());
+  constexpr uint32_t kSources = 64;
+  std::vector<Ranked> want;
+  PprEngine expected_ppr(&expected_view);
+  for (uint32_t s = 0; s < kSources; ++s) {
+    want.push_back(expected_ppr.TopKRelated(s, 10));
+  }
+
+  constexpr int kThreads = 4;
+  PprEngine ppr(&fresh);
+  std::latch start(kThreads);
+  std::vector<std::vector<Ranked>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Each thread walks the sources from a different offset.
+      got[t].resize(kSources);
+      for (uint32_t i = 0; i < kSources; ++i) {
+        const uint32_t s = (i + t * 16) % kSources;
+        got[t][s] = ppr.TopKRelated(s, 10);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
 }
 
 }  // namespace
