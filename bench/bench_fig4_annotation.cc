@@ -2,17 +2,34 @@
 // deployment preset (the price/performance curve of §3.2), cached vs
 // on-the-fly reranker profiles, and incremental vs full re-annotation
 // under varying Web churn (§3.1 "rate of change").
+//
+// `--gate` runs only the annotation hot-path gate instead: cached
+// accurate-preset Annotate must match, span, entity and score bits, an
+// in-bench copy of the path it replaced (a Tokenize-based embed of each
+// mention's own context window, each profile copied under a lock and
+// decoded float by float) and be >= 1.5x faster. Exits non-zero on
+// violation.
 
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "annotation/annotator.h"
 #include "annotation/web_linker.h"
 #include "bench_util.h"
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/metrics.h"
+#include "common/serialization.h"
 #include "kg/kg_generator.h"
 #include "serving/kv_cache.h"
+#include "text/tokenizer.h"
 #include "websim/corpus_generator.h"
 
 namespace saga {
@@ -194,10 +211,218 @@ void BenchIncremental(Env env) {
               "corpus size; speedup ~ 1/churn.\n");
 }
 
+// ---------- --gate ----------
+
+constexpr int kGateReps = 7;
+constexpr double kMinSpeedup = 1.5;
+
+/// The Embed the one-pass vectorizer replaced: Tokenize, then a
+/// std::string per token and per bigram. The reranker's vectorizer is
+/// never FitDf'd, so every token weighs 1.
+std::vector<float> ReferenceEmbed(std::string_view text,
+                                  const text::HashingVectorizer::Options& o) {
+  std::vector<float> vec(o.dim, 0.0f);
+  auto add = [&](std::string_view token, double weight) {
+    const uint64_t h = Hash64(token);
+    const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
+    vec[static_cast<uint32_t>(h % static_cast<uint32_t>(o.dim))] +=
+        static_cast<float>(sign * weight);
+  };
+  const std::vector<text::Token> tokens = text::Tokenize(text);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    add(tokens[i].text, 1.0);
+    if (o.use_bigrams && i + 1 < tokens.size()) {
+      add(tokens[i].text + "_" + tokens[i + 1].text, 0.5);
+    }
+  }
+  double norm_sq = 0.0;
+  for (float v : vec) norm_sq += static_cast<double>(v) * v;
+  if (norm_sq > 0.0) {
+    const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+    for (float& v : vec) v *= inv;
+  }
+  return vec;
+}
+
+/// The replaced memory-tier hit: copy the resident bytes under the
+/// lock, then decode them float by float.
+class ReferenceProfiles {
+ public:
+  void Add(kg::EntityId id, const std::vector<float>& vec) {
+    BinaryWriter w(&bytes_[id.value()]);
+    w.PutFloatVector(vec);
+  }
+
+  std::vector<float> Get(kg::EntityId id) const {
+    std::string bytes;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      bytes = bytes_.at(id.value());
+    }
+    BinaryReader r(bytes);
+    uint64_t n = 0;
+    (void)r.GetVarint64(&n);
+    std::vector<float> vec(n);
+    for (uint64_t i = 0; i < n; ++i) (void)r.GetFloat(&vec[i]);
+    return vec;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<uint64_t, std::string> bytes_;
+};
+
+/// Accurate-preset Annotate (every mention reranked) as it ran before:
+/// each mention copies and embeds its own context window, and every
+/// candidate profile is copied and decoded per float.
+std::vector<annotation::Annotation> ReferenceAnnotate(
+    std::string_view text, const annotation::MentionDetector& detector,
+    const annotation::CandidateGenerator& candidates,
+    const ReferenceProfiles& profiles) {
+  const annotation::ContextReranker::Options ro;
+  const text::HashingVectorizer::Options vo;
+  std::vector<annotation::Annotation> out;
+  for (const annotation::Mention& m : detector.Detect(text)) {
+    const std::vector<annotation::Candidate> cands =
+        candidates.Candidates(m.surface);
+    if (cands.empty()) continue;
+    const size_t begin =
+        m.begin > ro.context_window ? m.begin - ro.context_window : 0;
+    const size_t end = std::min(text.size(), m.end + ro.context_window);
+    const std::vector<float> context =
+        ReferenceEmbed(std::string(text.substr(begin, end - begin)), vo);
+    std::vector<std::pair<double, kg::EntityId>> scored;
+    for (const annotation::Candidate& c : cands) {
+      const double sim =
+          text::HashingVectorizer::Cosine(context, profiles.Get(c.entity));
+      scored.emplace_back(ro.context_weight * sim + ro.prior_weight * c.prior,
+                          c.entity);
+    }
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    annotation::Annotation a;
+    a.mention = m;
+    a.entity = scored[0].second;
+    a.score = scored[0].first;
+    if (a.score < annotation::Annotator::Options().min_score) continue;
+    out.push_back(std::move(a));
+  }
+  return out;
+}
+
+bool SameAnnotations(const std::vector<annotation::Annotation>& a,
+                     const std::vector<annotation::Annotation>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].mention.begin != b[i].mention.begin ||
+        a[i].mention.end != b[i].mention.end || a[i].entity != b[i].entity ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Best-of-reps microseconds per document of `reference` and of
+/// `annotate` over `docs`. The two run alternately within each rep, so
+/// a host that drifts in speed slows both alike.
+template <typename Reference, typename Annotate>
+std::pair<double, double> UsPerDoc(const std::vector<std::string_view>& docs,
+                                   Reference&& reference,
+                                   Annotate&& annotate) {
+  double best_ref = 1e300;
+  double best_new = 1e300;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    Stopwatch sw;
+    for (std::string_view doc : docs) benchmark::DoNotOptimize(reference(doc));
+    best_ref = std::min(best_ref, sw.ElapsedSeconds() * 1e6 / docs.size());
+    sw.Reset();
+    for (std::string_view doc : docs) benchmark::DoNotOptimize(annotate(doc));
+    best_new = std::min(best_new, sw.ElapsedSeconds() * 1e6 / docs.size());
+  }
+  return {best_ref, best_new};
+}
+
+/// Times accurate-preset Annotate through the profile cache (every
+/// profile memory-resident, so both sides time the memory tier) against
+/// ReferenceAnnotate over the F4 corpus. Fails on any annotation that
+/// differs (span, entity, score bits) or a speedup under kMinSpeedup.
+int RunGate() {
+  const Env env = MakeEnv();
+  auto dir = MakeTempDir("bench_fig4_gate");
+  auto cache = serving::EmbeddingKvCache::Open(*dir, 256 << 20);
+  if (!dir.ok() || !cache.ok()) {
+    std::printf("annotation gate: cannot open the profile cache\n");
+    return 1;
+  }
+  annotation::Annotator::Options opts;
+  opts.preset = annotation::DeploymentPreset::kAccurate;
+  opts.rerank_only_ambiguous = false;
+  const annotation::Annotator annotator(&env.gen.kg, cache->get(), opts);
+  const annotation::ContextReranker& reranker = annotator.reranker();
+  (void)reranker.PrecomputeProfiles(cache->get());
+  ReferenceProfiles profiles;
+  for (const auto& rec : env.gen.kg.catalog().records()) {
+    profiles.Add(rec.id,
+                 reranker.vectorizer().Embed(reranker.EntityProfileText(rec.id)));
+  }
+  const annotation::MentionDetector detector(&env.gen.kg.catalog());
+  const annotation::CandidateGenerator candidates(&env.gen.kg.catalog());
+  std::vector<std::string_view> docs;
+  for (websim::DocId id = 0; id < env.corpus.size(); ++id) {
+    docs.push_back(env.corpus.doc(id).body);
+  }
+  // Warm the memory tier so the timed passes read only resident bytes.
+  for (std::string_view doc : docs) (void)annotator.Annotate(doc);
+
+  int mismatches = 0;
+  size_t annotations = 0;
+  for (std::string_view doc : docs) {
+    const auto got = annotator.Annotate(doc);
+    annotations += got.size();
+    if (!SameAnnotations(
+            got, ReferenceAnnotate(doc, detector, candidates, profiles))) {
+      ++mismatches;
+    }
+  }
+  const auto [ref_us, new_us] = UsPerDoc(
+      docs,
+      [&](std::string_view doc) {
+        return ReferenceAnnotate(doc, detector, candidates, profiles);
+      },
+      [&](std::string_view doc) { return annotator.Annotate(doc); });
+  const double speedup = ref_us / new_us;
+  const auto stats = (*cache)->stats();
+
+  std::printf("accurate-preset Annotate, %zu entities, %zu docs, "
+              "%zu annotations\n",
+              env.gen.kg.num_entities(), docs.size(), annotations);
+  std::printf("  cache memory/disk/miss %llu/%llu/%llu\n",
+              static_cast<unsigned long long>(stats.memory_hits),
+              static_cast<unsigned long long>(stats.disk_hits),
+              static_cast<unsigned long long>(stats.misses));
+  std::printf("  copy + per-float reference %8.1f us/doc\n", ref_us);
+  std::printf("  Annotator                  %8.1f us/doc\n", new_us);
+  const bool speed_ok = speedup >= kMinSpeedup;
+  std::printf("gate speedup            %10.2f >= %5.2f  %s\n", speedup,
+              kMinSpeedup, speed_ok ? "PASS" : "FAIL");
+  std::printf("gate docs mismatched    %10d == 0      %s\n", mismatches,
+              mismatches == 0 ? "PASS" : "FAIL");
+  (void)RemoveDirRecursively(*dir);
+  const bool ok = speed_ok && mismatches == 0;
+  std::printf(ok ? "annotation gate: OK\n" : "annotation gate: FAILED\n");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace saga
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--gate") == 0) return saga::RunGate();
+  }
   saga::bench::ObsSession obs_session;
   std::printf("F4: web-scale semantic annotation (paper Figure 4)\n");
   saga::Env env = saga::MakeEnv();

@@ -59,6 +59,22 @@ kg::TypeId Annotator::MostSpecificType(kg::EntityId id) const {
 std::vector<Annotation> Annotator::Annotate(std::string_view text) const {
   obs::ScopedLatency timer(SAGA_LATENCY("annotation.annotator.annotate_ns"));
   std::vector<Annotation> out;
+  // Mentions of a short document mostly share one context window, so
+  // each distinct window is embedded once. The memo lives in this call:
+  // concurrent callers share nothing.
+  std::string_view last_window;
+  std::vector<float> last_context;
+  auto context_vector = [&](const ContextReranker& reranker,
+                            const Mention& mention)
+      -> const std::vector<float>& {
+    const std::string_view window = reranker.ContextWindow(text, mention);
+    if (last_context.empty() || window.data() != last_window.data() ||
+        window.size() != last_window.size()) {
+      last_context = reranker.vectorizer().Embed(window);
+      last_window = window;
+    }
+    return last_context;
+  };
   for (const Mention& mention : detector_.Detect(text)) {
     SAGA_COUNTER("annotation.annotator.mentions").Add();
     std::vector<Candidate> cands = candidates_.Candidates(mention.surface);
@@ -80,8 +96,8 @@ std::vector<Annotation> Annotator::Annotate(std::string_view text) const {
           break;
         }
         // Distilled reranker: no profile cache (profiles are cheap).
-        const auto scored =
-            cheap_reranker_.Rerank(cands, text, mention, nullptr);
+        const auto scored = cheap_reranker_.Rerank(
+            cands, context_vector(cheap_reranker_, mention), nullptr);
         ann.entity = scored[0].candidate.entity;
         ann.score = scored[0].score;
         break;
@@ -92,8 +108,8 @@ std::vector<Annotation> Annotator::Annotate(std::string_view text) const {
           ann.score = cands[0].prior;
           break;
         }
-        const auto scored =
-            reranker_.Rerank(cands, text, mention, cache_);
+        const auto scored = reranker_.Rerank(
+            cands, context_vector(reranker_, mention), cache_);
         ann.entity = scored[0].candidate.entity;
         ann.score = scored[0].score;
         break;

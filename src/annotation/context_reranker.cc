@@ -51,22 +51,28 @@ Status ContextReranker::PrecomputeProfiles(
   return Status::OK();
 }
 
-std::string ContextReranker::ContextText(std::string_view document_text,
-                                         const Mention& mention) const {
+std::string_view ContextReranker::ContextWindow(
+    std::string_view document_text, const Mention& mention) const {
   const size_t window = options_.context_window;
   const size_t begin = mention.begin > window ? mention.begin - window : 0;
   const size_t end =
       std::min(document_text.size(), mention.end + window);
-  return std::string(document_text.substr(begin, end - begin));
+  return document_text.substr(begin, end - begin);
 }
 
 std::vector<ContextReranker::Scored> ContextReranker::Rerank(
     const std::vector<Candidate>& candidates,
     std::string_view document_text, const Mention& mention,
     serving::EmbeddingKvCache* cache) const {
-  const std::vector<float> context_vec =
-      vectorizer_.Embed(ContextText(document_text, mention));
+  return Rerank(candidates,
+                vectorizer_.Embed(ContextWindow(document_text, mention)),
+                cache);
+}
 
+std::vector<ContextReranker::Scored> ContextReranker::Rerank(
+    const std::vector<Candidate>& candidates,
+    const std::vector<float>& context_vec,
+    serving::EmbeddingKvCache* cache) const {
   std::vector<Scored> scored;
   scored.reserve(candidates.size());
   for (const Candidate& c : candidates) {

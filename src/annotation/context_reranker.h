@@ -59,12 +59,22 @@ class ContextReranker {
                              const Mention& mention,
                              serving::EmbeddingKvCache* cache) const;
 
+  /// The same scoring against an already embedded context window
+  /// (`vectorizer().Embed(ContextWindow(...))`), so mentions that share
+  /// a window embed it once.
+  std::vector<Scored> Rerank(const std::vector<Candidate>& candidates,
+                             const std::vector<float>& context_vec,
+                             serving::EmbeddingKvCache* cache) const;
+
+  /// The `context_window` bytes on either side of the mention, clipped
+  /// to the document: [max(0, begin - w), min(n, end + w)).
+  std::string_view ContextWindow(std::string_view document_text,
+                                 const Mention& mention) const;
+
   const text::HashingVectorizer& vectorizer() const { return vectorizer_; }
 
  private:
   std::vector<float> ProfileVector(kg::EntityId id) const;
-  std::string ContextText(std::string_view document_text,
-                          const Mention& mention) const;
 
   const kg::KnowledgeGraph* kg_;
   Options options_;

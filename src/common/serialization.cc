@@ -1,5 +1,7 @@
 #include "common/serialization.h"
 
+#include <bit>
+
 namespace saga {
 
 void BinaryWriter::PutFixed32(uint32_t v) {
@@ -131,10 +133,17 @@ Status BinaryReader::GetDouble(double* v) {
 }
 
 Status BinaryReader::GetString(std::string* s) {
+  std::string_view view;
+  SAGA_RETURN_IF_ERROR(GetStringView(&view));
+  s->assign(view);
+  return Status::OK();
+}
+
+Status BinaryReader::GetStringView(std::string_view* s) {
   uint64_t len = 0;
   SAGA_RETURN_IF_ERROR(GetVarint64(&len));
   SAGA_RETURN_IF_ERROR(Need(len));
-  s->assign(data_.data() + pos_, len);
+  *s = data_.substr(pos_, len);
   pos_ += len;
   return Status::OK();
 }
@@ -149,10 +158,22 @@ Status BinaryReader::GetBool(bool* v) {
 Status BinaryReader::GetFloatVector(std::vector<float>* v) {
   uint64_t n = 0;
   SAGA_RETURN_IF_ERROR(GetVarint64(&n));
-  SAGA_RETURN_IF_ERROR(Need(n * 4));
+  // Compare by division: `n * 4` wraps for n >= 2^62 and would pass a
+  // byte check, then `resize(n)` throws.
+  if (n > remaining() / sizeof(float)) {
+    return Status::Corruption("truncated float vector: " + std::to_string(n) +
+                              " elements at offset " + std::to_string(pos_));
+  }
   v->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SAGA_RETURN_IF_ERROR(GetFloat(&(*v)[i]));
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire format is little-endian IEEE-754: the bytes are the
+    // floats.
+    if (n > 0) std::memcpy(v->data(), data_.data() + pos_, n * sizeof(float));
+    pos_ += n * sizeof(float);
+  } else {
+    for (uint64_t i = 0; i < n; ++i) {
+      SAGA_RETURN_IF_ERROR(GetFloat(&(*v)[i]));
+    }
   }
   return Status::OK();
 }

@@ -55,6 +55,8 @@ class BinaryReader {
   Status GetFloat(float* v);
   Status GetDouble(double* v);
   Status GetString(std::string* s);
+  /// GetString without the copy: `*s` views the reader's buffer.
+  Status GetStringView(std::string_view* s);
   Status GetBool(bool* v);
   Status GetFloatVector(std::vector<float>* v);
 

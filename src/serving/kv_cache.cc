@@ -1,7 +1,6 @@
 #include "serving/kv_cache.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
 #include "common/metrics.h"
@@ -36,10 +35,12 @@ EmbeddingKvCache::Shard& EmbeddingKvCache::ShardFor(const std::string& key) {
 }
 
 std::string EmbeddingKvCache::KeyFor(kg::EntityId id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "emb:%016llx",
-                static_cast<unsigned long long>(id.value()));
-  return buf;
+  // "emb:%016llx" without the printf machinery: every Get builds one.
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string key = "emb:0000000000000000";
+  uint64_t v = id.value();
+  for (size_t i = key.size(); i > 4; --i, v >>= 4) key[i - 1] = kHex[v & 0xF];
+  return key;
 }
 
 std::string EmbeddingKvCache::Encode(const std::vector<float>& vec) {
@@ -90,12 +91,16 @@ Result<std::vector<float>> EmbeddingKvCache::Get(kg::EntityId id) {
   const std::string key = KeyFor(id);
   Shard& shard = ShardFor(key);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (auto cached = shard.lru.Get(key)) {
+    std::unique_lock<std::mutex> lock(shard.mu);
+    if (const std::string* cached = shard.lru.Get(key)) {
+      // Decode the resident bytes in place: the pointer is only valid
+      // while this shard's lock is held.
+      Result<std::vector<float>> vec = Decode(*cached);
+      lock.unlock();
       memory_hits_.fetch_add(1, std::memory_order_relaxed);
       SAGA_COUNTER("serving.kv_cache.memory_hits").Add();
       UpdateHitRateGauges();
-      return Decode(*cached);
+      return vec;
     }
   }
   // Disk probe outside any shard lock: a slow or compacting store must
@@ -109,12 +114,15 @@ Result<std::vector<float>> EmbeddingKvCache::Get(kg::EntityId id) {
   }
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
   SAGA_COUNTER("serving.kv_cache.disk_hits").Add();
+  // Decode before the fill so the bytes can move into the LRU.
+  std::string bytes = std::move(from_disk).value();
+  Result<std::vector<float>> vec = Decode(bytes);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    (void)shard.lru.Put(key, from_disk.value());
+    (void)shard.lru.Put(key, std::move(bytes));
   }
   UpdateHitRateGauges();
-  return Decode(from_disk.value());
+  return vec;
 }
 
 EmbeddingKvCache::Stats EmbeddingKvCache::stats() const {

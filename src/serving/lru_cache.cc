@@ -11,9 +11,7 @@ bool LruCache::Put(const std::string& key, std::string value) {
     size_bytes_ -= it->second.value.size();
     size_bytes_ += value.size();
     it->second.value = std::move(value);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(key);
-    it->second.lru_it = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   } else {
     lru_.push_front(key);
     size_bytes_ += key.size() + value.size();
@@ -23,17 +21,15 @@ bool LruCache::Put(const std::string& key, std::string value) {
   return true;
 }
 
-std::optional<std::string> LruCache::Get(const std::string& key) {
+const std::string* LruCache::Get(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
-  return it->second.value;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return &it->second.value;
 }
 
 void LruCache::EvictIfNeeded() {

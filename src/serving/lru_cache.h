@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -25,7 +24,10 @@ class LruCache {
   /// that can never fit would evict the whole working set and then be
   /// evicted itself, churning the list for nothing.
   bool Put(const std::string& key, std::string value);
-  std::optional<std::string> Get(const std::string& key);
+  /// The resident value (marked most recent), or nullptr on a miss. No
+  /// copy: the pointer stays valid until the next call on this cache,
+  /// so a sharded caller reads it under the same lock.
+  const std::string* Get(const std::string& key);
   bool Contains(const std::string& key) const {
     return entries_.count(key) > 0;
   }

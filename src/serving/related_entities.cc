@@ -54,67 +54,22 @@ Result<std::vector<std::pair<kg::EntityId, double>>>
 RelatedEntitiesService::Related(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
-  SAGA_RETURN_IF_ERROR(ctx.Check("serving.related.start"));
-  std::unordered_set<kg::EntityId> excluded;
-  excluded.insert(id);
-  if (options_.exclude_direct_neighbors) {
-    for (kg::EntityId nb : kg_->Neighbors(id)) excluded.insert(nb);
-  }
-  auto filter = [&](std::vector<std::pair<kg::EntityId, double>> hits) {
-    std::vector<std::pair<kg::EntityId, double>> out;
-    for (auto& [e, s] : hits) {
-      if (excluded.count(e)) continue;
-      out.emplace_back(e, s);
-      if (out.size() == k) break;
-    }
-    return out;
-  };
-
-  switch (options_.mode) {
-    case Mode::kEmbedding: {
-      SAGA_ASSIGN_OR_RETURN(
-          auto hits,
-          embeddings_->TopKNeighbors(
-              id, k + excluded.size() + 8, type_filter, ctx));
-      return filter(std::move(hits));
-    }
-    case Mode::kPpr: {
-      SAGA_ASSIGN_OR_RETURN(
-          auto hits,
-          PprRelated(id, k + excluded.size() + 8, type_filter, &ctx));
-      return filter(std::move(hits));
-    }
-    case Mode::kBlend: {
-      SAGA_ASSIGN_OR_RETURN(
-          auto emb_hits,
-          embeddings_->TopKNeighbors(id, k * 4 + 16, type_filter, ctx));
-      SAGA_ASSIGN_OR_RETURN(auto ppr_hits,
-                            PprRelated(id, k * 4 + 16, type_filter, &ctx));
-      std::unordered_map<kg::EntityId, double> fused;
-      const double w = options_.blend_embedding_weight;
-      for (size_t i = 0; i < emb_hits.size(); ++i) {
-        fused[emb_hits[i].first] += w / (60.0 + static_cast<double>(i));
-      }
-      for (size_t i = 0; i < ppr_hits.size(); ++i) {
-        fused[ppr_hits[i].first] +=
-            (1.0 - w) / (60.0 + static_cast<double>(i));
-      }
-      std::vector<std::pair<kg::EntityId, double>> merged(fused.begin(),
-                                                          fused.end());
-      std::sort(merged.begin(), merged.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.second != b.second) return a.second > b.second;
-                  return a.first < b.first;
-                });
-      return filter(std::move(merged));
-    }
-  }
-  return Status::Internal("unreachable");
+  return RelatedImpl(id, k, type_filter, &ctx);
 }
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
 RelatedEntitiesService::Related(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter) const {
+  return RelatedImpl(id, k, type_filter, nullptr);
+}
+
+Result<std::vector<std::pair<kg::EntityId, double>>>
+RelatedEntitiesService::RelatedImpl(kg::EntityId id, size_t k,
+                                    kg::TypeId type_filter,
+                                    const RequestContext* ctx) const {
+  if (ctx != nullptr) {
+    SAGA_RETURN_IF_ERROR(ctx->Check("serving.related.start"));
+  }
   std::unordered_set<kg::EntityId> excluded;
   excluded.insert(id);
   if (options_.exclude_direct_neighbors) {
@@ -129,27 +84,27 @@ RelatedEntitiesService::Related(kg::EntityId id, size_t k,
     }
     return out;
   };
+  auto knn = [&](size_t n) {
+    return ctx == nullptr
+               ? embeddings_->TopKNeighbors(id, n, type_filter)
+               : embeddings_->TopKNeighbors(id, n, type_filter, *ctx);
+  };
 
   switch (options_.mode) {
     case Mode::kEmbedding: {
-      SAGA_ASSIGN_OR_RETURN(
-          auto hits,
-          embeddings_->TopKNeighbors(
-              id, k + excluded.size() + 8, type_filter));
+      SAGA_ASSIGN_OR_RETURN(auto hits, knn(k + excluded.size() + 8));
       return filter(std::move(hits));
     }
     case Mode::kPpr: {
       SAGA_ASSIGN_OR_RETURN(
           auto hits,
-          PprRelated(id, k + excluded.size() + 8, type_filter, nullptr));
+          PprRelated(id, k + excluded.size() + 8, type_filter, ctx));
       return filter(std::move(hits));
     }
     case Mode::kBlend: {
-      SAGA_ASSIGN_OR_RETURN(
-          auto emb_hits,
-          embeddings_->TopKNeighbors(id, k * 4 + 16, type_filter));
+      SAGA_ASSIGN_OR_RETURN(auto emb_hits, knn(k * 4 + 16));
       SAGA_ASSIGN_OR_RETURN(auto ppr_hits,
-                            PprRelated(id, k * 4 + 16, type_filter, nullptr));
+                            PprRelated(id, k * 4 + 16, type_filter, ctx));
       // Reciprocal-rank fusion: robust to incomparable score scales.
       std::unordered_map<kg::EntityId, double> fused;
       const double w = options_.blend_embedding_weight;

@@ -50,6 +50,11 @@ class RelatedEntitiesService {
       const RequestContext& ctx) const;
 
  private:
+  /// Both public overloads; `ctx` == nullptr (the ctx-less overload)
+  /// skips deadline checks and fault injection in every leg.
+  Result<std::vector<std::pair<kg::EntityId, double>>> RelatedImpl(
+      kg::EntityId id, size_t k, kg::TypeId type_filter,
+      const RequestContext* ctx) const;
   /// PPR leg; `ctx` == nullptr skips deadline checks and fault
   /// injection.
   Result<std::vector<std::pair<kg::EntityId, double>>> PprRelated(

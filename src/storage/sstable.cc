@@ -301,12 +301,12 @@ Status SSTableReader::VerifyChecksums() const {
   return Status::OK();
 }
 
-Status SSTableReader::DecodeEntry(uint64_t* off, Entry* out) const {
+Status SSTableReader::DecodeEntry(uint64_t* off, EntryView* out) const {
   BinaryReader r(std::string_view(data_.data() + *off, entries_end_ - *off));
   uint8_t type = 0;
   SAGA_RETURN_IF_ERROR(r.GetU8(&type));
-  SAGA_RETURN_IF_ERROR(r.GetString(&out->key));
-  SAGA_RETURN_IF_ERROR(r.GetString(&out->value));
+  SAGA_RETURN_IF_ERROR(r.GetStringView(&out->key));
+  SAGA_RETURN_IF_ERROR(r.GetStringView(&out->value));
   out->is_tombstone = (type == kTypeTombstone);
   *off += r.position();
   return Status::OK();
@@ -328,11 +328,11 @@ std::optional<SSTableReader::Entry> SSTableReader::Get(
     std::string_view key) const {
   if (!bloom_.MayContain(key)) return std::nullopt;
   uint64_t off = SeekOffset(key);
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     if (!DecodeEntry(&off, &e).ok()) return std::nullopt;
-    if (e.key == key) return e;
-    if (std::string_view(e.key) > key) return std::nullopt;
+    if (e.key == key) return e.Materialize();
+    if (e.key > key) return std::nullopt;
   }
   return std::nullopt;
 }
@@ -341,7 +341,7 @@ Result<std::optional<SSTableReader::Entry>> SSTableReader::GetChecked(
     std::string_view key) const {
   if (!bloom_.MayContain(key)) return std::optional<Entry>();
   uint64_t off = SeekOffset(key);
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     SAGA_RETURN_IF_ERROR(VerifyBlockContaining(off));
     Status s = DecodeEntry(&off, &e);
@@ -351,8 +351,8 @@ Result<std::optional<SSTableReader::Entry>> SSTableReader::GetChecked(
       return Status::Corruption("undecodable entry in crc-clean block: " +
                                 path_ + ": " + s.message());
     }
-    if (e.key == key) return std::optional<Entry>(std::move(e));
-    if (std::string_view(e.key) > key) return std::optional<Entry>();
+    if (e.key == key) return std::optional<Entry>(e.Materialize());
+    if (e.key > key) return std::optional<Entry>();
   }
   return std::optional<Entry>();
 }
@@ -361,14 +361,14 @@ std::vector<SSTableReader::Entry> SSTableReader::ScanPrefix(
     std::string_view prefix) const {
   std::vector<Entry> out;
   uint64_t off = prefix.empty() ? 0 : SeekOffset(prefix);
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     if (!DecodeEntry(&off, &e).ok()) break;
-    if (std::string_view(e.key) >= prefix) {
+    if (e.key >= prefix) {
       if (e.key.compare(0, prefix.size(), prefix) != 0) {
-        if (std::string_view(e.key) > prefix) break;
+        if (e.key > prefix) break;
       } else {
-        out.push_back(e);
+        out.push_back(e.Materialize());
       }
     }
   }
@@ -379,10 +379,10 @@ std::vector<SSTableReader::Entry> SSTableReader::ScanAll() const {
   std::vector<Entry> out;
   out.reserve(num_entries_);
   uint64_t off = 0;
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     if (!DecodeEntry(&off, &e).ok()) break;
-    out.push_back(e);
+    out.push_back(e.Materialize());
   }
   return out;
 }
@@ -391,7 +391,7 @@ Result<std::vector<SSTableReader::Entry>> SSTableReader::ScanPrefixChecked(
     std::string_view prefix) const {
   std::vector<Entry> out;
   uint64_t off = prefix.empty() ? 0 : SeekOffset(prefix);
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     SAGA_RETURN_IF_ERROR(VerifyBlockContaining(off));
     Status s = DecodeEntry(&off, &e);
@@ -399,11 +399,11 @@ Result<std::vector<SSTableReader::Entry>> SSTableReader::ScanPrefixChecked(
       return Status::Corruption("undecodable entry in crc-clean block: " +
                                 path_ + ": " + s.message());
     }
-    if (std::string_view(e.key) >= prefix) {
+    if (e.key >= prefix) {
       if (e.key.compare(0, prefix.size(), prefix) != 0) {
-        if (std::string_view(e.key) > prefix) break;
+        if (e.key > prefix) break;
       } else {
-        out.push_back(e);
+        out.push_back(e.Materialize());
       }
     }
   }
@@ -415,7 +415,7 @@ Result<std::vector<SSTableReader::Entry>> SSTableReader::ScanAllChecked()
   std::vector<Entry> out;
   out.reserve(num_entries_);
   uint64_t off = 0;
-  Entry e;
+  EntryView e;
   while (off < entries_end_) {
     SAGA_RETURN_IF_ERROR(VerifyBlockContaining(off));
     Status s = DecodeEntry(&off, &e);
@@ -423,7 +423,7 @@ Result<std::vector<SSTableReader::Entry>> SSTableReader::ScanAllChecked()
       return Status::Corruption("undecodable entry in crc-clean block: " +
                                 path_ + ": " + s.message());
     }
-    out.push_back(e);
+    out.push_back(e.Materialize());
   }
   return out;
 }

@@ -141,8 +141,20 @@ class SSTableReader {
 
   Status ParseFooterAndIndex();
 
+  /// An entry decoded in place: key and value view `data_`, so a probe
+  /// copies only the entry it returns.
+  struct EntryView {
+    std::string_view key;
+    std::string_view value;
+    bool is_tombstone = false;
+
+    Entry Materialize() const {
+      return Entry{std::string(key), std::string(value), is_tombstone};
+    }
+  };
+
   /// Decodes the entry at byte offset `off`; advances *off past it.
-  Status DecodeEntry(uint64_t* off, Entry* out) const;
+  Status DecodeEntry(uint64_t* off, EntryView* out) const;
 
   /// Largest indexed offset whose key <= `key`.
   uint64_t SeekOffset(std::string_view key) const;

@@ -1,5 +1,6 @@
 #include "text/hashing_vectorizer.h"
 
+#include <cctype>
 #include <cmath>
 #include <set>
 #include <string>
@@ -34,9 +35,8 @@ double HashingVectorizer::IdfWeight(const std::string& token) const {
   return std::log((1.0 + num_docs_) / (1.0 + df)) + 0.1;
 }
 
-void HashingVectorizer::AddTokenWeight(std::string_view token, double weight,
-                                       std::vector<float>* vec) const {
-  const uint64_t h = Hash64(token);
+void HashingVectorizer::AddHashedWeight(uint64_t h, double weight,
+                                        std::vector<float>* vec) const {
   const uint32_t dim = static_cast<uint32_t>(options_.dim);
   const uint32_t idx = static_cast<uint32_t>(h % dim);
   const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
@@ -45,13 +45,31 @@ void HashingVectorizer::AddTokenWeight(std::string_view token, double weight,
 
 std::vector<float> HashingVectorizer::Embed(std::string_view text) const {
   std::vector<float> vec(options_.dim, 0.0f);
-  const std::vector<Token> tokens = Tokenize(text);
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    AddTokenWeight(tokens[i].text, IdfWeight(tokens[i].text), &vec);
-    if (options_.use_bigrams && i + 1 < tokens.size()) {
-      const std::string bigram = tokens[i].text + "_" + tokens[i + 1].text;
-      AddTokenWeight(bigram, 0.5, &vec);
+  // One pass with Tokenize's word rule, lowercasing each token into one
+  // reused buffer. Features are added in Tokenize order (u0, b01, u1,
+  // b12, ...), so every float sums exactly as before.
+  std::string token;
+  uint64_t prev_hash = 0;
+  bool have_prev = false;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !IsWordChar(text[i])) ++i;
+    if (i >= text.size()) break;
+    token.clear();
+    for (; i < text.size() && IsWordChar(text[i]); ++i) {
+      token.push_back(static_cast<char>(
+          std::tolower(static_cast<unsigned char>(text[i]))));
     }
+    const uint64_t h = Hash64(token);
+    if (options_.use_bigrams && have_prev) {
+      // FNV-1a streams: hashing "_" and then this token on from the
+      // previous token's hash is Hash64(prev + "_" + token).
+      const uint64_t joined = Hash64(std::string_view("_"), prev_hash);
+      AddHashedWeight(Hash64(token, joined), 0.5, &vec);
+    }
+    AddHashedWeight(h, IdfWeight(token), &vec);
+    prev_hash = h;
+    have_prev = true;
   }
   double norm_sq = 0.0;
   for (float v : vec) norm_sq += static_cast<double>(v) * v;

@@ -45,8 +45,9 @@ class HashingVectorizer {
   int dim() const { return options_.dim; }
 
  private:
-  void AddTokenWeight(std::string_view token, double weight,
-                      std::vector<float>* vec) const;
+  /// Adds the signed `weight` at the dimension feature hash `h` picks.
+  void AddHashedWeight(uint64_t h, double weight,
+                       std::vector<float>* vec) const;
   double IdfWeight(const std::string& token) const;
 
   Options options_;

@@ -4,12 +4,6 @@
 
 namespace saga::text {
 
-namespace {
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'';
-}
-}  // namespace
-
 std::vector<Token> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
   size_t i = 0;

@@ -1,11 +1,18 @@
 #ifndef SAGA_TEXT_TOKENIZER_H_
 #define SAGA_TEXT_TOKENIZER_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace saga::text {
+
+/// The word-character rule of Tokenize: ASCII alphanumerics and the
+/// apostrophe ("don't" is one token).
+inline bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'';
+}
 
 /// One token with its byte span in the original text. Spans let the
 /// mention detector map token matches back to character offsets.

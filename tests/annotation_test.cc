@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "annotation/annotator.h"
@@ -290,6 +291,90 @@ TEST(AnnotatorTest, AccurateBeatsFastOnAmbiguousMentions) {
   const double accurate_acc = accuracy_on_ambiguous(accurate);
   EXPECT_GE(accurate_acc, fast_acc);
   EXPECT_GT(accurate_acc, 0.6);
+}
+
+// Annotate embeds each distinct context window once and reuses it for
+// the next mention when the window is unchanged. On documents longer
+// than two windows most mentions see different windows; the result
+// must still equal reranking every mention on its own.
+TEST(AnnotatorTest, ContextReuseMatchesPerMentionRerank) {
+  kg::GeneratedKg gen = MakeKg();
+  websim::CorpusGeneratorConfig cc;
+  cc.num_news_pages = 60;
+  cc.num_noise_pages = 10;
+  const websim::WebCorpus corpus = websim::GenerateCorpus(gen, cc);
+  auto dir = MakeTempDir("saga_context_reuse");
+  ASSERT_TRUE(dir.ok());
+  // A small memory tier so profiles come from both cache tiers.
+  auto cache = serving::EmbeddingKvCache::Open(*dir, 16 << 10);
+  ASSERT_TRUE(cache.ok());
+  Annotator::Options opts;
+  opts.preset = DeploymentPreset::kAccurate;
+  opts.rerank_only_ambiguous = false;
+  Annotator annotator(&gen.kg, cache->get(), opts);
+  const ContextReranker& reranker = annotator.reranker();
+  ASSERT_TRUE(reranker.PrecomputeProfiles(cache->get()).ok());
+
+  // Short corpus documents (windows mostly shared) and documents of
+  // eight pages joined (windows mostly distinct).
+  std::vector<std::string> docs;
+  for (websim::DocId id = 0; id < corpus.size(); ++id) {
+    docs.push_back(corpus.doc(id).body);
+  }
+  for (websim::DocId id = 0; id + 8 <= corpus.size(); id += 8) {
+    std::string joined;
+    for (websim::DocId j = id; j < id + 8; ++j) {
+      joined += corpus.doc(j).body;
+      joined += ' ';
+    }
+    docs.push_back(std::move(joined));
+  }
+
+  MentionDetector detector(&gen.kg.catalog());
+  CandidateGenerator candidates(&gen.kg.catalog());
+  size_t shared_windows = 0;
+  size_t distinct_windows = 0;
+  size_t compared = 0;
+  for (const std::string& text : docs) {
+    std::vector<Annotation> want;
+    std::string_view last_window;
+    for (const Mention& m : detector.Detect(text)) {
+      const auto cands = candidates.Candidates(m.surface);
+      if (cands.empty()) continue;
+      const std::string_view window = reranker.ContextWindow(text, m);
+      if (!last_window.empty() && window.data() == last_window.data() &&
+          window.size() == last_window.size()) {
+        ++shared_windows;
+      } else if (!last_window.empty()) {
+        ++distinct_windows;
+      }
+      last_window = window;
+      const auto scored = reranker.Rerank(cands, text, m, cache->get());
+      if (scored[0].score < opts.min_score) continue;
+      Annotation a;
+      a.mention = m;
+      a.entity = scored[0].candidate.entity;
+      a.score = scored[0].score;
+      want.push_back(a);
+    }
+    const std::vector<Annotation> got = annotator.Annotate(text);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].mention.begin, want[i].mention.begin);
+      EXPECT_EQ(got[i].mention.end, want[i].mention.end);
+      EXPECT_EQ(got[i].entity, want[i].entity);
+      uint64_t got_bits = 0;
+      uint64_t want_bits = 0;
+      std::memcpy(&got_bits, &got[i].score, sizeof(got_bits));
+      std::memcpy(&want_bits, &want[i].score, sizeof(want_bits));
+      EXPECT_EQ(got_bits, want_bits);
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(shared_windows, 0u);
+  EXPECT_GT(distinct_windows, 0u);
+  (void)RemoveDirRecursively(*dir);
 }
 
 TEST(AnnotatorTest, AssignsMostSpecificType) {

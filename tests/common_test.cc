@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -301,6 +303,62 @@ TEST(SerializationTest, SkipAdvances) {
   ASSERT_TRUE(r.Skip(4).ok());
   EXPECT_EQ(r.remaining(), 2u);
   EXPECT_TRUE(r.Skip(3).IsCorruption());
+}
+
+// Regression: a length prefix of 2^62 floats wrapped the old `n * 4`
+// byte check to 0, so the check passed and `resize(2^62)` threw
+// std::length_error, aborting the process. EmbeddingKvCache::Decode and
+// EmbeddingStore shard loads parse this field from disk.
+TEST(SerializationTest, FloatVectorLengthOverflowIsCorruption) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutVarint64(uint64_t{1} << 62);
+  buf.append(4, '\0');
+  BinaryReader r(buf);
+  std::vector<float> v;
+  const Status s = r.GetFloatVector(&v);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+}
+
+TEST(SerializationTest, FloatVectorRoundTripsBitExact) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
+    std::vector<float> in(n);
+    for (size_t i = 0; i < n; ++i) {
+      in[i] = static_cast<float>(i) * -0.37f + 1.0f / 3.0f;
+    }
+    if (n == 257) {
+      in[0] = -0.0f;
+      in[1] = std::numeric_limits<float>::infinity();
+      in[2] = std::numeric_limits<float>::quiet_NaN();
+      in[3] = std::numeric_limits<float>::denorm_min();
+    }
+    std::string buf;
+    BinaryWriter w(&buf);
+    w.PutFloatVector(in);
+    w.PutFixed32(0xDEADBEEF);  // the reader must stop exactly at the end
+    BinaryReader r(buf);
+    std::vector<float> out{9.0f};
+    ASSERT_TRUE(r.GetFloatVector(&out).ok()) << "n=" << n;
+    ASSERT_EQ(out.size(), n);
+    // memcmp with n == 0 would still be passed null data pointers.
+    EXPECT_TRUE(n == 0 ||
+                std::memcmp(out.data(), in.data(), n * sizeof(float)) == 0)
+        << "n=" << n;
+    uint32_t tail = 0;
+    ASSERT_TRUE(r.GetFixed32(&tail).ok());
+    EXPECT_EQ(tail, 0xDEADBEEFu);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(SerializationTest, FloatVectorTruncatedByOneByteIsCorruption) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutFloatVector(std::vector<float>(257, 1.5f));
+  buf.pop_back();
+  BinaryReader r(buf);
+  std::vector<float> v;
+  EXPECT_TRUE(r.GetFloatVector(&v).IsCorruption());
 }
 
 class VarintRoundTrip : public ::testing::TestWithParam<int64_t> {};

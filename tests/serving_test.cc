@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/file_util.h"
+#include "common/serialization.h"
 #include "embedding/trainer.h"
 #include "graph_engine/traversal.h"
 #include "kg/kg_generator.h"
@@ -49,11 +52,11 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(50);
   cache.Put("a", std::string(20, 'x'));
   cache.Put("b", std::string(20, 'y'));
-  ASSERT_TRUE(cache.Get("a").has_value());  // touch a -> b becomes LRU
-  cache.Put("c", std::string(20, 'z'));     // evicts b
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
+  ASSERT_NE(cache.Get("a"), nullptr);    // touch a -> b becomes LRU
+  cache.Put("c", std::string(20, 'z'));  // evicts b
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_NE(cache.Get("c"), nullptr);
 }
 
 TEST(LruCacheTest, OverwriteUpdatesBytes) {
@@ -161,6 +164,61 @@ TEST(EmbeddingKvCacheTest, PutRefreshesResidentLruEntry) {
   // Served from memory: the refresh updated the entry in place rather
   // than invalidating it.
   EXPECT_EQ((*cache)->stats().memory_hits, 1u);
+  (void)RemoveDirRecursively(*dir);
+}
+
+// Every tier returns exactly the floats that were encoded: a disk hit
+// (decoded, then its bytes moved into the LRU), a memory hit (decoded
+// in place from the resident bytes) and a memory hit after Put
+// refreshed the resident entry. Values that a lossy path would change
+// (negative zero, NaN payloads, subnormals) are compared as bits.
+TEST(EmbeddingKvCacheTest, EveryTierReturnsTheEncodedFloatsExactly) {
+  auto dir = MakeTempDir("saga_kv_cache_tiers");
+  ASSERT_TRUE(dir.ok());
+  auto cache = EmbeddingKvCache::Open(*dir, 1 << 16);
+  ASSERT_TRUE(cache.ok());
+  auto same_bits = [](const std::vector<float>& a,
+                      const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  std::vector<float> v1(256);
+  for (size_t i = 0; i < v1.size(); ++i) {
+    v1[i] = static_cast<float>(i) * 0.01f - 1.0f;
+  }
+  v1[0] = -0.0f;
+  v1[1] = std::numeric_limits<float>::denorm_min();
+  v1[2] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> v2 = v1;
+  v2[3] = -v2[3];
+
+  const kg::EntityId id(0xABCDEF);
+  ASSERT_TRUE((*cache)->Put(id, v1).ok());
+  // The disk tier holds the BinaryWriter encoding under "emb:<16 hex>".
+  std::string want_bytes;
+  BinaryWriter w(&want_bytes);
+  w.PutFloatVector(v1);
+  auto raw = (*cache)->kv()->Get("emb:0000000000abcdef");
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_EQ(*raw, want_bytes);
+
+  auto disk = (*cache)->Get(id);
+  ASSERT_TRUE(disk.ok());
+  EXPECT_TRUE(same_bits(*disk, v1));
+  EXPECT_EQ((*cache)->stats().disk_hits, 1u);
+
+  auto memory = (*cache)->Get(id);
+  ASSERT_TRUE(memory.ok());
+  EXPECT_TRUE(same_bits(*memory, v1));
+  EXPECT_EQ((*cache)->stats().memory_hits, 1u);
+
+  ASSERT_TRUE((*cache)->Put(id, v2).ok());
+  auto refreshed = (*cache)->Get(id);
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_TRUE(same_bits(*refreshed, v2));
+  EXPECT_EQ((*cache)->stats().memory_hits, 2u);
+  EXPECT_EQ((*cache)->stats().disk_hits, 1u);
+  EXPECT_EQ((*cache)->stats().misses, 0u);
   (void)RemoveDirRecursively(*dir);
 }
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
+#include <unordered_map>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "text/aho_corasick.h"
 #include "text/hashing_vectorizer.h"
 #include "text/similarity.h"
@@ -149,6 +154,121 @@ TEST(VectorizerTest, DimensionIsConfigurable) {
   HashingVectorizer vec(opts);
   EXPECT_EQ(vec.Embed("x").size(), 64u);
   EXPECT_EQ(vec.dim(), 64);
+}
+
+// Differential test of the one-pass Embed against the Tokenize-based
+// Embed it replaced, kept here verbatim as the oracle: every vector
+// must match bit for bit.
+class TokenizeEmbedOracle {
+ public:
+  explicit TokenizeEmbedOracle(HashingVectorizer::Options options)
+      : options_(options) {}
+
+  void FitDf(const std::vector<std::string>& docs) {
+    for (std::string_view doc : docs) {
+      std::set<std::string> seen;
+      for (const Token& t : Tokenize(doc)) seen.insert(t.text);
+      for (const auto& tok : seen) ++df_[tok];
+      ++num_docs_;
+    }
+  }
+
+  std::vector<float> Embed(std::string_view text) const {
+    std::vector<float> vec(options_.dim, 0.0f);
+    const std::vector<Token> tokens = Tokenize(text);
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      AddTokenWeight(tokens[i].text, IdfWeight(tokens[i].text), &vec);
+      if (options_.use_bigrams && i + 1 < tokens.size()) {
+        const std::string bigram = tokens[i].text + "_" + tokens[i + 1].text;
+        AddTokenWeight(bigram, 0.5, &vec);
+      }
+    }
+    double norm_sq = 0.0;
+    for (float v : vec) norm_sq += static_cast<double>(v) * v;
+    if (norm_sq > 0.0) {
+      const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+      for (float& v : vec) v *= inv;
+    }
+    return vec;
+  }
+
+ private:
+  double IdfWeight(const std::string& token) const {
+    if (!options_.use_idf || num_docs_ == 0) return 1.0;
+    auto it = df_.find(token);
+    const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
+    return std::log((1.0 + num_docs_) / (1.0 + df)) + 0.1;
+  }
+
+  void AddTokenWeight(std::string_view token, double weight,
+                      std::vector<float>* vec) const {
+    const uint64_t h = Hash64(token);
+    const uint32_t dim = static_cast<uint32_t>(options_.dim);
+    const uint32_t idx = static_cast<uint32_t>(h % dim);
+    const double sign = (Mix64(h) & 1) ? 1.0 : -1.0;
+    (*vec)[idx] += static_cast<float>(sign * weight);
+  }
+
+  HashingVectorizer::Options options_;
+  std::unordered_map<std::string, uint32_t> df_;
+  uint32_t num_docs_ = 0;
+};
+
+/// Seeded byte strings, mostly word characters (either case, digits),
+/// with apostrophes, punctuation, whitespace and bytes >= 0x80 mixed in,
+/// plus the empty string and single tokens.
+std::vector<std::string> EmbedDifferentialInputs() {
+  static const std::string kPieces[] = {
+      "abcdefghijklmnopqrstuvwxyz", "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+      "0123456789", "'''", " \t\n", ".,;:!?-_()\"/",
+      "\x80\xc3\xa9\xff\xe2\x80\x99"};
+  std::vector<std::string> inputs = {"",    "a",   "A",     "'",      "x'y",
+                                     "7",   "_",   "ABC",   "don't",  "\xc3\xa9",
+                                     "a b", "A_B", "a'' b", " x ",    "Q."};
+  Rng rng(20231018);
+  for (int i = 0; i < 400; ++i) {
+    std::string s;
+    const size_t len = rng.Uniform(300);
+    for (size_t j = 0; j < len; ++j) {
+      const std::string& piece = rng.Bernoulli(0.75)
+                                     ? kPieces[rng.Uniform(3)]
+                                     : kPieces[3 + rng.Uniform(4)];
+      s.push_back(piece[rng.Uniform(piece.size())]);
+    }
+    inputs.push_back(std::move(s));
+  }
+  return inputs;
+}
+
+TEST(VectorizerTest, OnePassEmbedMatchesTokenizeOracleBitForBit) {
+  const std::vector<std::string> inputs = EmbedDifferentialInputs();
+  const std::vector<std::string> fit_docs(inputs.begin() + 100,
+                                          inputs.begin() + 200);
+  for (int dim : {1, 7, 64, 256}) {
+    for (bool bigrams : {false, true}) {
+      for (bool fitted : {false, true}) {
+        HashingVectorizer::Options opts;
+        opts.dim = dim;
+        opts.use_bigrams = bigrams;
+        HashingVectorizer vec(opts);
+        TokenizeEmbedOracle oracle(opts);
+        if (fitted) {
+          vec.FitDf(fit_docs);
+          oracle.FitDf(fit_docs);
+        }
+        for (size_t i = 0; i < inputs.size(); ++i) {
+          const std::vector<float> got = vec.Embed(inputs[i]);
+          const std::vector<float> want = oracle.Embed(inputs[i]);
+          ASSERT_EQ(got.size(), want.size());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "dim=" << dim << " bigrams=" << bigrams
+              << " fitted=" << fitted << " input #" << i;
+        }
+      }
+    }
+  }
 }
 
 // ---------- AhoCorasick ----------
