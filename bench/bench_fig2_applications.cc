@@ -26,6 +26,7 @@ namespace saga {
 namespace {
 
 using bench::Fmt;
+using bench::Samples;
 using bench::Section;
 using bench::Table;
 
@@ -199,7 +200,7 @@ void BenchRelatedEntities(const Env& env,
     serving::RelatedEntitiesService related(&env.gen.kg, &env.view,
                                             mode.service, opts);
     double precision_sum = 0.0;
-    Histogram latency;
+    Samples latency;
     for (kg::EntityId q : queries) {
       const auto two_hop = graph_engine::KHopNeighbors(env.gen.kg, q, 2);
       Stopwatch sw;

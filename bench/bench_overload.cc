@@ -75,7 +75,7 @@ Stack BuildStack(int max_concurrent, int low_max) {
 }
 
 struct ClassStats {
-  Histogram latency_ms;  // admitted + served requests
+  Samples latency_ms;  // admitted + served requests
   uint64_t served = 0;
   uint64_t shed = 0;
   uint64_t deadline_exceeded = 0;

@@ -51,7 +51,7 @@ void BenchQuorumWrite() {
     group->StepUntil([&] { return group->LeaderId() >= 0; }, 3000);
     const int kWrites = 200;
     int acked = 0;
-    Histogram logical_ms;
+    Samples logical_ms;
     Stopwatch wall;
     for (int i = 0; i < kWrites; ++i) {
       const double before = group->now_ms();
@@ -72,7 +72,7 @@ void BenchQuorumWrite() {
 void BenchFailover() {
   std::printf("\n=== failover latency (leader kill -> next commit) ===\n");
   const int kRuns = 50;
-  Histogram detect_elect_ms;
+  Samples detect_elect_ms;
   int recovered = 0;
   for (int run = 0; run < kRuns; ++run) {
     auto group = NewGroup(3, 0xFA11 + 977 * static_cast<uint64_t>(run));
@@ -88,8 +88,13 @@ void BenchFailover() {
     }
   }
   std::printf("recovered %d/%d runs\n", recovered, kRuns);
-  std::printf("serving gap (logical ms): %s\n",
-              detect_elect_ms.Summary().c_str());
+  std::printf("serving gap (logical ms): n=%zu mean=%s p50=%s p95=%s "
+              "p99=%s max=%s\n",
+              detect_elect_ms.count(), Fmt(detect_elect_ms.Mean()).c_str(),
+              Fmt(detect_elect_ms.Percentile(50)).c_str(),
+              Fmt(detect_elect_ms.Percentile(95)).c_str(),
+              Fmt(detect_elect_ms.Percentile(99)).c_str(),
+              Fmt(detect_elect_ms.Percentile(100)).c_str());
 }
 
 void BenchLossyNetwork() {
@@ -102,7 +107,7 @@ void BenchLossyNetwork() {
     group->StepUntil([&] { return group->LeaderId() >= 0; }, 3000);
     const int kWrites = 200;
     int acked = 0;
-    Histogram logical_ms;
+    Samples logical_ms;
     for (int i = 0; i < kWrites; ++i) {
       const double before = group->now_ms();
       if (group->Put("k" + std::to_string(i), "v").ok()) {

@@ -44,9 +44,9 @@ constexpr double kDegradedP99Budget = 1.5;  // x healthy baseline p99
 
 std::string PreloadKey(int i) { return "k" + std::to_string(i); }
 
-Histogram MeasureReads(storage::KvStore* store, uint64_t seed, int ops) {
+Samples MeasureReads(storage::KvStore* store, uint64_t seed, int ops) {
   Rng rng(seed);
-  Histogram ms;
+  Samples ms;
   for (int i = 0; i < ops; ++i) {
     const std::string key = PreloadKey(rng.Uniform(kPreloadKeys));
     Stopwatch sw;
@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
   // ---- Phase 3: degraded serving -----------------------------------
   Section("phase 3: read-only degraded serving");
   (void)MeasureReads(store->get(), 5, kReadOps);  // warm
-  Histogram degraded_reads = MeasureReads(store->get(), 11, kReadOps);
-  Histogram reject_ms;
+  Samples degraded_reads = MeasureReads(store->get(), 11, kReadOps);
+  Samples reject_ms;
   int rejected = 0;
   for (int i = 0; i < kWriteProbes; ++i) {
     Stopwatch sw;
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   check("store exits degraded mode", !governor.degraded());
   const Status post = (*store)->Put("post-recovery", fill_value);
   check("store writable after recovery", post.ok());
-  Histogram healthy_reads = MeasureReads(store->get(), 11, kReadOps);
+  Samples healthy_reads = MeasureReads(store->get(), 11, kReadOps);
   const double degraded_p99 = degraded_reads.Percentile(99);
   const double healthy_p99 = healthy_reads.Percentile(99);
   const double ratio = healthy_p99 > 0 ? degraded_p99 / healthy_p99 : 0;

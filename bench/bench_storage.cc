@@ -191,12 +191,12 @@ std::string GateKey(int i) {
   return buf;
 }
 
-// Each caller owns its Histogram (single-writer contract); the owner
-// merges per-thread results after the readers join.
-Histogram MeasureGateReads(storage::KvStore* store, uint64_t seed, int ops,
-                           std::atomic<uint64_t>* read_errors) {
+// Each caller owns its Samples (single writer); the owner merges
+// per-thread results after the readers join.
+Samples MeasureGateReads(storage::KvStore* store, uint64_t seed, int ops,
+                         std::atomic<uint64_t>* read_errors) {
   Rng rng(seed);
-  Histogram ms;
+  Samples ms;
   for (int i = 0; i < ops; ++i) {
     const std::string key = GateKey(static_cast<int>(rng.Uniform(kGateKeys)));
     Stopwatch sw;
@@ -245,7 +245,7 @@ int RunMixedGate() {
   std::atomic<uint64_t> read_errors{0};
   (void)MeasureGateReads(store->get(), 7, kQuiescentReadOps / 3,
                          nullptr);  // warm
-  Histogram quiescent =
+  Samples quiescent =
       MeasureGateReads(store->get(), 11, kQuiescentReadOps, &read_errors);
   check("quiescent reads all hit", read_errors.load() == 0);
   Table t1({"keys", "sstables", "quiescent p50 ms", "quiescent p99 ms"});
@@ -275,7 +275,7 @@ int RunMixedGate() {
       }
     }
   });
-  std::vector<Histogram> per_thread(kGateReaderThreads);
+  std::vector<Samples> per_thread(kGateReaderThreads);
   std::vector<std::thread> readers;
   readers.reserve(kGateReaderThreads);
   for (int t = 0; t < kGateReaderThreads; ++t) {
@@ -290,7 +290,7 @@ int RunMixedGate() {
   writer.join();
   (*store)->WaitForMaintenance();
 
-  Histogram mixed;
+  Samples mixed;
   for (const auto& h : per_thread) mixed.Merge(h);
   const uint64_t flushes = (*store)->stats().flushes - flushes_before;
   const uint64_t compactions =

@@ -63,7 +63,7 @@ struct ReaderStats {
   uint64_t reads = 0;
   uint64_t failed = 0;
   std::map<std::string, uint64_t> by_version;
-  Histogram latency_ms;
+  Samples latency_ms;
 };
 
 /// Closed-loop reader: pins Current() per request (the RCU contract),

@@ -1,6 +1,8 @@
 #ifndef SAGA_BENCH_BENCH_UTIL_H_
 #define SAGA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -49,6 +51,42 @@ class Table {
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// Every sample of one bench measurement, for exact percentiles in
+/// result tables and `--gate` ratios. obs::LatencyHistogram's log
+/// buckets (up to 25% quantile error) would blur what the gates
+/// compare. Single writer: each worker fills its own and the owner
+/// merges them.
+class Samples {
+ public:
+  void Add(double v) { v_.push_back(v); }
+  /// Appends `other`'s samples.
+  void Merge(const Samples& other) {
+    v_.insert(v_.end(), other.v_.begin(), other.v_.end());
+  }
+
+  size_t count() const { return v_.size(); }
+  double Mean() const {
+    double sum = 0.0;
+    for (double v : v_) sum += v;
+    return v_.empty() ? 0.0 : sum / static_cast<double>(v_.size());
+  }
+  /// p in [0, 100], linear interpolation between closest ranks; 0 when
+  /// empty.
+  double Percentile(double p) const {
+    if (v_.empty()) return 0.0;
+    std::vector<double> sorted = v_;
+    std::sort(sorted.begin(), sorted.end());
+    const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(rank));
+    const size_t hi = static_cast<size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+
+ private:
+  std::vector<double> v_;
 };
 
 inline std::string Fmt(double v, int decimals = 3) {

@@ -5,9 +5,8 @@
 # lower_snake_case segments, `subsystem.component.metric`, and latency
 # histogram names must end in `_ns`.
 #
-# Legacy two-segment names that go through the per-run MetricsRegistry
-# (e.g. "retry.attempts") are grandfathered: this lint only inspects
-# obs macro / ScopedSpan call sites.
+# obs::Registry is the only metrics system, so checking these call
+# sites (plus circuit-breaker stems below) covers every exported name.
 #
 # Usage: scripts/check_metric_names.sh [repo-root]
 set -u

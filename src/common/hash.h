@@ -1,9 +1,7 @@
 #ifndef SAGA_COMMON_HASH_H_
 #define SAGA_COMMON_HASH_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 
 namespace saga {
@@ -11,20 +9,14 @@ namespace saga {
 /// 64-bit FNV-1a over arbitrary bytes. Stable across platforms and runs;
 /// used for blocking keys, feature hashing, and bloom filters, so it must
 /// never change.
-inline uint64_t Hash64(const void* data, size_t len,
+inline uint64_t Hash64(std::string_view s,
                        uint64_t seed = 0xCBF29CE484222325ULL) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
   uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
+  for (unsigned char c : s) {
+    h ^= c;
     h *= 0x100000001B3ULL;
   }
   return h;
-}
-
-inline uint64_t Hash64(std::string_view s,
-                       uint64_t seed = 0xCBF29CE484222325ULL) {
-  return Hash64(s.data(), s.size(), seed);
 }
 
 /// Finalizer-style avalanche mix (from MurmurHash3), useful to derive

@@ -1,62 +1,11 @@
 #include "common/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
 #include "common/trace.h"
 
 namespace saga {
-
-// ---------------------------------------------------------------------------
-// Legacy per-run Histogram.
-
-void Histogram::Merge(const Histogram& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-}
-
-double Histogram::Mean() const {
-  if (samples_.empty()) return 0.0;
-  return Sum() / static_cast<double>(samples_.size());
-}
-
-double Histogram::Sum() const {
-  double s = 0.0;
-  for (double v : samples_) s += v;
-  return s;
-}
-
-double Histogram::Min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double Histogram::Max() const {
-  if (samples_.empty()) return 0.0;
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double Histogram::Percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  // Sort a copy: const accessors must not mutate shared state (readers
-  // may call this concurrently on an immutable snapshot).
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-std::string Histogram::Summary() const {
-  return "n=" + std::to_string(count()) + " mean=" + FormatDouble(Mean(), 3) +
-         " p50=" + FormatDouble(Percentile(50), 3) +
-         " p95=" + FormatDouble(Percentile(95), 3) +
-         " p99=" + FormatDouble(Percentile(99), 3) +
-         " max=" + FormatDouble(Max(), 3);
-}
 
 // ---------------------------------------------------------------------------
 // obs core.
@@ -380,54 +329,5 @@ std::string DumpAll(DumpFormat format) {
 }
 
 }  // namespace obs
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry: per-run thin view over the global subsystem.
-
-void MetricsRegistry::IncrCounter(const std::string& name, int64_t delta) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_[name] += delta;
-  }
-  // Mirror into the platform-wide surface so per-run robustness
-  // counters show up in obs::DumpAll(). Legacy two-segment names are
-  // grandfathered (the lint only checks obs macro call sites).
-  obs::Registry::Global().counter(name).Add(delta);
-}
-
-int64_t MetricsRegistry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-Histogram* MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return &histograms_[name];
-}
-
-void MetricsRegistry::MergeHistogram(const std::string& name,
-                                     const Histogram& h) {
-  std::lock_guard<std::mutex> lock(mu_);
-  histograms_[name].Merge(h);
-}
-
-std::string MetricsRegistry::Report() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += name + " = " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out += name + " : " + hist.Summary() + "\n";
-  }
-  return out;
-}
-
-void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  histograms_.clear();
-}
 
 }  // namespace saga

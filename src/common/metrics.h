@@ -33,35 +33,6 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// Accumulates samples and reports count/mean/min/max/percentiles.
-///
-/// Threading contract (single-writer): Add()/Merge() must come from one
-/// thread at a time — each worker owns a private Histogram and the
-/// owner merges them. Once writes have quiesced, the accessors
-/// (Mean/Min/Max/Percentile/Summary) are safe to call concurrently from
-/// any number of reader threads: they never mutate state (an earlier
-/// version lazily sorted a `mutable` sample buffer inside const
-/// accessors, which raced under concurrent readers).
-class Histogram {
- public:
-  void Add(double v) { samples_.push_back(v); }
-  void Merge(const Histogram& other);
-
-  size_t count() const { return samples_.size(); }
-  double Mean() const;
-  double Min() const;
-  double Max() const;
-  double Sum() const;
-  /// p in [0, 100]. Returns 0 when empty.
-  double Percentile(double p) const;
-
-  /// e.g. "n=100 mean=1.2 p50=1.1 p99=3.0 max=3.2".
-  std::string Summary() const;
-
- private:
-  std::vector<double> samples_;
-};
-
 namespace obs {
 
 /// Process-wide kill switch: when disabled, counter/gauge/latency
@@ -326,40 +297,6 @@ class Registry {
 std::string DumpAll(DumpFormat format = DumpFormat::kPrometheus);
 
 }  // namespace obs
-
-/// Named counters + histograms for one pipeline run. Since the obs
-/// rewrite this is a thin per-run view over the process-global
-/// subsystem: counter increments also land in `obs::Registry::Global()`
-/// (same name), so robustness counters from PR 1 show up in DumpAll()
-/// while per-run assertions keep reading the local copy. All mutating
-/// entry points are mutex-guarded; the accessors returning references
-/// are for after-run reporting once writers have quiesced.
-class MetricsRegistry {
- public:
-  void IncrCounter(const std::string& name, int64_t delta = 1);
-  int64_t counter(const std::string& name) const;
-
-  /// Per-run histogram handle. The returned Histogram follows the
-  /// single-writer contract above; workers should own a local Histogram
-  /// and aggregate through MergeHistogram instead of sharing one.
-  Histogram* histogram(const std::string& name);
-  /// Merge-based aggregation path: folds a worker-local histogram into
-  /// the named per-run histogram under the registry lock.
-  void MergeHistogram(const std::string& name, const Histogram& h);
-
-  const std::map<std::string, int64_t>& counters() const { return counters_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  std::string Report() const;
-  void Clear();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
 
 }  // namespace saga
 

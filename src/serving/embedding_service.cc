@@ -79,16 +79,14 @@ void EmbeddingService::BuildIndexWithFallback() {
   RetryPolicy retry(options_.retry);
   const Status s = retry.Run(
       "serving.index_build",
-      [&] { return BuildIndexOnce(options_.index); }, options_.metrics);
+      [&] { return BuildIndexOnce(options_.index); });
   if (s.ok()) return;
   // Degraded mode: serve exact brute-force results rather than not
   // serving at all.
   SAGA_LOG(Warning) << "accelerated index build failed (" << s
                     << "); serving degraded to exact search";
   degraded_ = true;
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter("serving.degraded");
-  }
+  SAGA_COUNTER("serving.embedding.degraded").Add();
   (void)BuildIndexOnce(IndexKind::kExact);
 }
 
@@ -142,46 +140,42 @@ bool EmbeddingService::PassesTypeFilter(kg::EntityId id,
 Result<std::vector<std::pair<kg::EntityId, double>>>
 EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter) const {
-  obs::ScopedSpan span("serving.embedding.topk_neighbors");
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
-  SAGA_ASSIGN_OR_RETURN(const std::vector<float>* query, Find(id));
-  auto hits = TopKForVector(*query, k + 1, type_filter);
-  std::vector<std::pair<kg::EntityId, double>> out;
-  for (const auto& [e, sim] : hits) {
-    if (e == id) continue;
-    out.emplace_back(e, sim);
-    if (out.size() == k) break;
-  }
-  return out;
-}
-
-std::vector<std::pair<kg::EntityId, double>> EmbeddingService::TopKForVector(
-    const std::vector<float>& query, size_t k,
-    kg::TypeId type_filter) const {
-  obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
-  SAGA_COUNTER("serving.embedding.searches").Add();
-  // Over-fetch when filtering so enough survivors remain.
-  const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
-  std::vector<std::pair<kg::EntityId, double>> out;
-  for (const ann::Neighbor& n : index_->Search(query, fetch)) {
-    const kg::EntityId id(n.label);
-    if (!PassesTypeFilter(id, type_filter)) continue;
-    out.emplace_back(id, n.similarity);
-    if (out.size() == k) break;
-  }
-  return out;
+  return TopKNeighborsImpl(id, k, type_filter, nullptr);
 }
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
 EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
+  return TopKNeighborsImpl(id, k, type_filter, &ctx);
+}
+
+std::vector<std::pair<kg::EntityId, double>> EmbeddingService::TopKForVector(
+    const std::vector<float>& query, size_t k,
+    kg::TypeId type_filter) const {
+  // Without a context nothing can fail.
+  return TopKForVectorImpl(query, k, type_filter, nullptr).value();
+}
+
+Result<std::vector<std::pair<kg::EntityId, double>>>
+EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
+                                kg::TypeId type_filter,
+                                const RequestContext& ctx) const {
+  return TopKForVectorImpl(query, k, type_filter, &ctx);
+}
+
+Result<std::vector<std::pair<kg::EntityId, double>>>
+EmbeddingService::TopKNeighborsImpl(kg::EntityId id, size_t k,
+                                    kg::TypeId type_filter,
+                                    const RequestContext* ctx) const {
   obs::ScopedSpan span("serving.embedding.topk_neighbors");
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.topk_ns"));
-  SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.topk"));
+  if (ctx != nullptr) {
+    SAGA_RETURN_IF_ERROR(ctx->Check("serving.embedding.topk"));
+  }
   SAGA_ASSIGN_OR_RETURN(const std::vector<float>* query, Find(id));
   SAGA_ASSIGN_OR_RETURN(auto hits,
-                        TopKForVector(*query, k + 1, type_filter, ctx));
+                        TopKForVectorImpl(*query, k + 1, type_filter, ctx));
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const auto& [e, sim] : hits) {
     if (e == id) continue;
@@ -192,17 +186,22 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
 }
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
-EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
-                                kg::TypeId type_filter,
-                                const RequestContext& ctx) const {
+EmbeddingService::TopKForVectorImpl(const std::vector<float>& query, size_t k,
+                                    kg::TypeId type_filter,
+                                    const RequestContext* ctx) const {
   obs::ScopedLatency timer(SAGA_LATENCY("serving.embedding.search_ns"));
   SAGA_COUNTER("serving.embedding.searches").Add();
-  SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
+  // Over-fetch when filtering so enough survivors remain.
   const size_t fetch = type_filter.valid() ? k * 8 + 16 : k;
-  SAGA_ASSIGN_OR_RETURN(std::vector<ann::Neighbor> hits,
-                        SearchWithPolicies(query, fetch, ctx));
-  // A correct answer after the deadline is still a failed request.
-  SAGA_RETURN_IF_ERROR(ctx.Check("serving.embedding.search"));
+  std::vector<ann::Neighbor> hits;
+  if (ctx == nullptr) {
+    hits = index_->Search(query, fetch);
+  } else {
+    SAGA_RETURN_IF_ERROR(ctx->Check("serving.embedding.search"));
+    SAGA_ASSIGN_OR_RETURN(hits, SearchWithPolicies(query, fetch, *ctx));
+    // A correct answer after the deadline is still a failed request.
+    SAGA_RETURN_IF_ERROR(ctx->Check("serving.embedding.search"));
+  }
   std::vector<std::pair<kg::EntityId, double>> out;
   for (const ann::Neighbor& n : hits) {
     const kg::EntityId id(n.label);

@@ -8,7 +8,6 @@
 
 #include "ann/index.h"
 #include "common/circuit_breaker.h"
-#include "common/metrics.h"
 #include "common/request_context.h"
 #include "common/result.h"
 #include "common/retry.h"
@@ -25,7 +24,7 @@ namespace saga::serving {
 /// repeatedly fails to build, the service degrades gracefully to exact
 /// brute-force search instead of refusing to serve — correct answers,
 /// reduced throughput. The degradation is observable via degraded()
-/// and the `serving.degraded` counter.
+/// and the `serving.embedding.degraded` counter.
 ///
 /// Overload safety (deadline-carrying overloads only):
 /// - A circuit breaker guards the accelerated index: injected or real
@@ -68,9 +67,6 @@ class EmbeddingService {
     int ivf_nprobe = 4;
     /// Backoff schedule for transient index-build failures.
     RetryPolicy::Options retry;
-    /// Optional sink for `serving.degraded` / `retry.attempts`. Not
-    /// owned; must outlive the service.
-    MetricsRegistry* metrics = nullptr;
     /// Circuit breaker for the accelerated search path (metrics under
     /// `serving.breaker.ann_*`). Only consulted by deadline-carrying
     /// calls.
@@ -147,6 +143,16 @@ class EmbeddingService {
   Status BuildIndexOnce(IndexKind kind);
   /// Builds and populates an index of `kind` from the store.
   std::unique_ptr<ann::VectorIndex> MakeIndex(IndexKind kind) const;
+
+  /// Both overloads of each query; `ctx` == nullptr (the ctx-less
+  /// overloads) skips deadline checks and every serving policy and
+  /// searches `index_` directly.
+  Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighborsImpl(
+      kg::EntityId id, size_t k, kg::TypeId type_filter,
+      const RequestContext* ctx) const;
+  Result<std::vector<std::pair<kg::EntityId, double>>> TopKForVectorImpl(
+      const std::vector<float>& query, size_t k, kg::TypeId type_filter,
+      const RequestContext* ctx) const;
 
   /// True when searches go through an accelerated (hedgeable,
   /// breaker-guarded) index rather than exact brute force.

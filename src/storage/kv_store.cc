@@ -12,6 +12,7 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/serialization.h"
 #include "common/trace.h"
 
@@ -181,8 +182,7 @@ Status KvStore::WriteManifest(
   payload += "crc:" + std::to_string(Crc32(payload)) + "\n";
   return retry_.Run(
       "kv.manifest",
-      [&] { return WriteStringToFile(ManifestPath(), payload, true); },
-      options_.metrics);
+      [&] { return WriteStringToFile(ManifestPath(), payload, true); });
 }
 
 void KvStore::QuarantineFile(const std::string& name) {
@@ -195,9 +195,7 @@ void KvStore::QuarantineFile(const std::string& name) {
   if (!s.ok()) {
     SAGA_LOG(Warning) << "could not quarantine " << from << ": " << s;
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter("sst.quarantined");
-  }
+  SAGA_COUNTER("storage.kv.sst_quarantined").Add();
 }
 
 uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
@@ -240,13 +238,10 @@ uint64_t KvStore::ReplayWal(const WalReadResult& wal, bool* stopped_early) {
                       << (wal.records.size() - replayed) << " records and "
                       << bytes_dropped << " trailing bytes";
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->IncrCounter(
-        "wal.records_dropped",
-        static_cast<int64_t>(wal.records.size() - replayed));
-    options_.metrics->IncrCounter("wal.bytes_dropped",
-                                  static_cast<int64_t>(bytes_dropped));
-  }
+  SAGA_COUNTER("storage.kv.wal_records_dropped")
+      .Add(static_cast<int64_t>(wal.records.size() - replayed));
+  SAGA_COUNTER("storage.kv.wal_bytes_dropped")
+      .Add(static_cast<int64_t>(bytes_dropped));
   return keep_bytes;
 }
 
@@ -352,8 +347,7 @@ Status KvStore::Recover() {
           if (!r.ok()) return r.status();
           reader = std::move(*r);
           return Status::OK();
-        },
-        options_.metrics);
+        });
     if (!s.ok()) {
       SAGA_LOG(Warning) << "quarantining unreadable table " << path << ": "
                         << s;
@@ -788,7 +782,6 @@ Result<std::shared_ptr<SSTableReader>> KvStore::BuildTableWithRetry(
         reader = std::move(*r);
         return Status::OK();
       },
-      options_.metrics,
       [](const Status& st) {
         return RetryPolicy::IsRetryable(st) || st.IsCorruption();
       });

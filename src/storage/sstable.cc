@@ -18,6 +18,12 @@ constexpr size_t kFooterSizeV1 = 8 * 5 + 4 + 4;
 constexpr size_t kFooterSizeV2 = 8 * 7 + 4 + 4;
 constexpr uint8_t kTypeValue = 0;
 constexpr uint8_t kTypeTombstone = 1;
+
+/// True when [off, off + len) lies inside [0, limit). Written so that
+/// hostile footer fields cannot wrap the sum past the check.
+bool RangeFits(uint64_t off, uint64_t len, uint64_t limit) {
+  return off <= limit && len <= limit - off;
+}
 }  // namespace
 
 SSTableBuilder::SSTableBuilder() : SSTableBuilder(Options()) {}
@@ -166,9 +172,9 @@ Status SSTableReader::ParseFooterAndIndex() {
     SAGA_RETURN_IF_ERROR(r.GetFixed64(&num_entries_));
     SAGA_RETURN_IF_ERROR(r.GetFixed32(&crc));
     const uint64_t footer_start = data_.size() - kFooterSizeV2;
-    if (index_off + index_len > footer_start ||
-        bloom_off + bloom_len > footer_start ||
-        blockcrc_off + blockcrc_len > footer_start) {
+    if (!RangeFits(index_off, index_len, footer_start) ||
+        !RangeFits(bloom_off, bloom_len, footer_start) ||
+        !RangeFits(blockcrc_off, blockcrc_len, footer_start)) {
       return Status::Corruption("SSTable footer offsets out of range: " +
                                 path_);
     }
@@ -192,8 +198,8 @@ Status SSTableReader::ParseFooterAndIndex() {
     SAGA_RETURN_IF_ERROR(r.GetFixed64(&num_entries_));
     SAGA_RETURN_IF_ERROR(r.GetFixed32(&crc));
     SAGA_RETURN_IF_ERROR(r.GetFixed32(&magic_again));
-    if (index_off + index_len > data_.size() ||
-        bloom_off + bloom_len > data_.size()) {
+    if (!RangeFits(index_off, index_len, data_.size()) ||
+        !RangeFits(bloom_off, bloom_len, data_.size())) {
       return Status::Corruption("SSTable footer offsets out of range: " +
                                 path_);
     }
@@ -213,6 +219,13 @@ Status SSTableReader::ParseFooterAndIndex() {
     uint64_t off = 0;
     SAGA_RETURN_IF_ERROR(idx.GetString(&key));
     SAGA_RETURN_IF_ERROR(idx.GetVarint64(&off));
+    // Blocks start at 0 and strictly ascend inside the entry area;
+    // block lookups and per-block CRCs index the data by these.
+    const bool in_order =
+        index_.empty() ? off == 0 : off > index_.back().second;
+    if (!in_order || off >= entries_end_) {
+      return Status::Corruption("SSTable index offset out of range: " + path_);
+    }
     index_.emplace_back(std::move(key), off);
   }
 

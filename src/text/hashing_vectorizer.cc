@@ -64,7 +64,7 @@ std::vector<float> HashingVectorizer::Embed(std::string_view text) const {
     if (options_.use_bigrams && have_prev) {
       // FNV-1a streams: hashing "_" and then this token on from the
       // previous token's hash is Hash64(prev + "_" + token).
-      const uint64_t joined = Hash64(std::string_view("_"), prev_hash);
+      const uint64_t joined = Hash64("_", prev_hash);
       AddHashedWeight(Hash64(token, joined), 0.5, &vec);
     }
     AddHashedWeight(h, IdfWeight(token), &vec);

@@ -88,7 +88,6 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
     Faults().Seed(rng.NextUint64());
     auto dir = MakeTempDir("saga_chaos");
     ASSERT_TRUE(dir.ok());
-    MetricsRegistry metrics;
     KvStore::Options opts;
     opts.memtable_max_bytes = 1024 + rng.Uniform(2048);
     opts.sync_every_write = true;  // an OK op is a durable op
@@ -96,7 +95,6 @@ TEST_F(ChaosTest, CrashReplayLoopLosesNoSyncedWrite) {
     opts.retry.max_attempts = 2;
     opts.retry.initial_backoff_ms = 0.0;
     opts.retry.max_backoff_ms = 0.0;
-    opts.metrics = &metrics;
 
     // State after every acknowledged op; the single failing op (if
     // any) is indeterminate — it may or may not have reached disk.
@@ -438,10 +436,8 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
   for (EmbeddingService::IndexKind kind :
        {EmbeddingService::IndexKind::kIvf,
         EmbeddingService::IndexKind::kQuantized}) {
-    MetricsRegistry metrics;
     EmbeddingService::Options opts;
     opts.index = kind;
-    opts.metrics = &metrics;
     opts.retry.max_attempts = 2;
     opts.retry.initial_backoff_ms = 0.0;
     opts.retry.max_backoff_ms = 0.0;
@@ -449,11 +445,15 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
     spec.fail_nth = 0;  // every build attempt fails
     spec.repeat = true;
     ScopedFault fault("serving.index_build", spec);
+    obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded");
+    obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
+    const int64_t degraded_before = degraded.Value();
+    const int64_t retries_before = retries.Value();
     EmbeddingService service(
         embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
     EXPECT_TRUE(service.degraded());
-    EXPECT_EQ(metrics.counter("serving.degraded"), 1);
-    EXPECT_GE(metrics.counter("retry.attempts"), 1);
+    EXPECT_EQ(degraded.Value() - degraded_before, 1);
+    EXPECT_GE(retries.Value() - retries_before, 1);
 
     const kg::EntityId a = view.global_entity(1);
     auto degraded_hits = service.TopKNeighbors(a, 5);
@@ -479,14 +479,14 @@ TEST(ChaosServingTest, HealthyBuildIsNotDegraded) {
   tc.dim = 8;
   tc.epochs = 2;
   embedding::TrainedEmbeddings emb = embedding::InMemoryTrainer(tc).Train(view);
-  MetricsRegistry metrics;
   EmbeddingService::Options opts;
   opts.index = EmbeddingService::IndexKind::kIvf;
-  opts.metrics = &metrics;
+  obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded");
+  const int64_t degraded_before = degraded.Value();
   EmbeddingService service(embedding::EmbeddingStore::FromTrained(emb, view),
                            &gen.kg, opts);
   EXPECT_FALSE(service.degraded());
-  EXPECT_EQ(metrics.counter("serving.degraded"), 0);
+  EXPECT_EQ(degraded.Value() - degraded_before, 0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 
+#include "../bench/bench_util.h"
 #include "common/circuit_breaker.h"
 #include "common/file_util.h"
 #include "common/hash.h"
@@ -204,6 +205,7 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 TEST(HashTest, StableKnownValue) {
   // FNV-1a must never change (on-disk formats depend on it).
+  EXPECT_EQ(Hash64("hello"), 0xa430d84680aabd0bULL);
   EXPECT_EQ(Hash64("hello"), Hash64(std::string_view("hello")));
   EXPECT_NE(Hash64("hello"), Hash64("hellp"));
   EXPECT_NE(Hash64(""), Hash64("a"));
@@ -462,46 +464,34 @@ TEST(FileUtilTest, JoinPathHandlesSlashes) {
 
 // ---------- Metrics ----------
 
-TEST(MetricsTest, HistogramPercentiles) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_DOUBLE_EQ(h.Min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.Max(), 100.0);
-  EXPECT_NEAR(h.Mean(), 50.5, 1e-9);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(h.Percentile(99), 99.01, 0.1);
-  EXPECT_NEAR(h.Percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(h.Percentile(100), 100.0, 1e-9);
+// ---------- bench::Samples (the benches' exact percentiles) ----------
+
+TEST(BenchSamplesTest, Percentiles) {
+  bench::Samples s;
+  for (int i = 1; i <= 100; ++i) s.Add(i);
+  EXPECT_EQ(s.count(), 100u);
+  EXPECT_NEAR(s.Mean(), 50.5, 1e-9);
+  EXPECT_NEAR(s.Percentile(50), 50.5, 0.01);
+  EXPECT_NEAR(s.Percentile(99), 99.01, 0.1);
+  EXPECT_NEAR(s.Percentile(0), 1.0, 1e-9);
+  EXPECT_NEAR(s.Percentile(100), 100.0, 1e-9);
 }
 
-TEST(MetricsTest, EmptyHistogramIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Percentile(50), 0.0);
-  EXPECT_EQ(h.Mean(), 0.0);
+TEST(BenchSamplesTest, EmptyIsZero) {
+  bench::Samples s;
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.Percentile(50), 0.0);
+  EXPECT_EQ(s.Mean(), 0.0);
 }
 
-TEST(MetricsTest, MergeCombinesSamples) {
-  Histogram a;
-  Histogram b;
+TEST(BenchSamplesTest, MergeCombinesSamples) {
+  bench::Samples a;
+  bench::Samples b;
   a.Add(1.0);
   b.Add(3.0);
   a.Merge(b);
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-}
-
-TEST(MetricsTest, RegistryCounters) {
-  MetricsRegistry reg;
-  reg.IncrCounter("docs", 5);
-  reg.IncrCounter("docs");
-  EXPECT_EQ(reg.counter("docs"), 6);
-  EXPECT_EQ(reg.counter("missing"), 0);
-  reg.histogram("lat")->Add(1.5);
-  EXPECT_NE(reg.Report().find("docs = 6"), std::string::npos);
-  reg.Clear();
-  EXPECT_EQ(reg.counter("docs"), 0);
 }
 
 TEST(MetricsTest, StopwatchAdvances) {
@@ -703,7 +693,7 @@ TEST(RetryPolicyTest, DataLossIsNeverRetriedEvenWithCustomPredicate) {
         ++calls;
         return Status::DataLoss("crc mismatch");
       },
-      /*metrics=*/nullptr, [](const Status&) { return true; });
+      [](const Status&) { return true; });
   EXPECT_TRUE(s.IsDataLoss());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
@@ -739,8 +729,7 @@ TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
         ++calls;
         return Status::Unavailable("replica partitioned");
       },
-      &breaker, /*metrics=*/nullptr,
-      [](const Status& st) { return st.IsUnavailable(); });
+      &breaker, [](const Status& st) { return st.IsUnavailable(); });
   EXPECT_TRUE(s.IsUnavailable());
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(slept.empty());
@@ -781,7 +770,7 @@ TEST(RetryPolicyTest, PartitionedReplicaUnavailableRespectsBreakerGate) {
         ++dl_calls;
         return Status::DataLoss("diverged beyond repair");
       },
-      &fresh, /*metrics=*/nullptr, [](const Status&) { return true; });
+      &fresh, [](const Status&) { return true; });
   EXPECT_TRUE(dl.IsDataLoss());
   EXPECT_EQ(dl_calls, 1);
 }

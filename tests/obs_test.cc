@@ -1,6 +1,5 @@
 // Tests for the saga::obs observability subsystem: thread-safe metric
-// primitives, span-tree tracing, export formats, and the legacy
-// Histogram / MetricsRegistry thin-view contracts. The multi-threaded
+// primitives, span-tree tracing and export formats. The multi-threaded
 // cases are meant to run under the `tsan` CMake preset as well as
 // asan-ubsan (see CMakePresets.json).
 
@@ -266,70 +265,6 @@ TEST_F(ObsTest, JsonExportGolden) {
   EXPECT_NE(dump.find("\"test.export.lat_ns\":{\"count\":1,\"sum\":2000"),
             std::string::npos)
       << dump;
-}
-
-// ---------- Legacy Histogram contract ----------
-
-TEST_F(ObsTest, HistogramSnapshotConcurrentReadsAreSafe) {
-  // Regression for the mutable-lazy-sort footgun: after writes
-  // quiesce, many threads may read percentiles concurrently. Under
-  // tsan the old implementation raced here (EnsureSorted mutated
-  // `mutable` state from const accessors).
-  Histogram h;
-  for (int i = 1000; i >= 1; --i) h.Add(static_cast<double>(i));
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&h, &failures] {
-      for (int i = 0; i < 200; ++i) {
-        if (h.Percentile(50) != 500.5) failures.fetch_add(1);
-        if (h.Min() != 1.0) failures.fetch_add(1);
-        if (h.Max() != 1000.0) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST_F(ObsTest, MetricsRegistryMergeHistogramAggregation) {
-  // Merge-based aggregation: each worker owns a local histogram and
-  // folds it in under the registry lock.
-  MetricsRegistry reg;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&reg, t] {
-      Histogram local;
-      for (int i = 0; i < 100; ++i) {
-        local.Add(static_cast<double>(t * 100 + i));
-      }
-      reg.MergeHistogram("worker.latency", local);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.histograms().at("worker.latency").count(), 400u);
-}
-
-// ---------- MetricsRegistry thin view ----------
-
-TEST_F(ObsTest, MetricsRegistryMirrorsIntoGlobal) {
-  MetricsRegistry reg;
-  reg.IncrCounter("serving.degraded");
-  reg.IncrCounter("serving.degraded", 2);
-  EXPECT_EQ(reg.counter("serving.degraded"), 3);
-  EXPECT_EQ(obs::Registry::Global().counter("serving.degraded").Value(), 3);
-}
-
-TEST_F(ObsTest, MetricsRegistryConcurrentIncrements) {
-  MetricsRegistry reg;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&reg] {
-      for (int i = 0; i < 1000; ++i) reg.IncrCounter("race.counter");
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.counter("race.counter"), 8000);
 }
 
 // ---------- History ----------

@@ -2,6 +2,7 @@
 
 #include "common/file_util.h"
 #include "common/rng.h"
+#include "common/serialization.h"
 #include "storage/bloom.h"
 #include "storage/memtable.h"
 #include "storage/sstable.h"
@@ -399,6 +400,97 @@ TEST_F(SSTableTest, CorruptFileIsRejected) {
 
   ASSERT_TRUE(WriteStringToFile(path, "tiny").ok());
   EXPECT_FALSE(SSTableReader::Open(path).ok());
+}
+
+// Footer fields whose offset + length wraps past 2^64 must be caught
+// by the range check, not turned into a wild pointer. The v1 CRC covers
+// only the entry bytes (none here), so nothing else stands in the way;
+// the v2 file carries a valid footer CRC.
+TEST_F(SSTableTest, FooterOffsetOverflowIsCorruption) {
+  constexpr uint64_t kHuge = uint64_t{1} << 63;
+  const std::string path = JoinPath(dir_, "wrap.sst");
+
+  std::string v1(16, '\0');
+  {
+    BinaryWriter w(&v1);
+    w.PutFixed64(0);          // index_off
+    w.PutFixed64(0);          // index_len
+    w.PutFixed64(kHuge);      // bloom_off
+    w.PutFixed64(kHuge + 8);  // bloom_len: off + len wraps to 8
+    w.PutFixed64(0);          // num_entries
+    w.PutFixed32(Crc32(""));  // CRC of the (empty) entry area
+    w.PutFixed32(0x53535431u);  // "SST1"
+  }
+  ASSERT_EQ(v1.size(), 64u);
+  ASSERT_TRUE(WriteStringToFile(path, v1).ok());
+  auto r1 = SSTableReader::Open(path);
+  ASSERT_FALSE(r1.ok());
+  EXPECT_TRUE(r1.status().IsCorruption()) << r1.status();
+
+  std::string v2(16, '\0');
+  {
+    BinaryWriter w(&v2);
+    w.PutFixed64(0);          // index_off
+    w.PutFixed64(0);          // index_len
+    w.PutFixed64(kHuge);      // bloom_off
+    w.PutFixed64(kHuge + 8);  // bloom_len
+    w.PutFixed64(kHuge);      // blockcrc_off
+    w.PutFixed64(kHuge + 8);  // blockcrc_len
+    w.PutFixed64(0);          // num_entries
+    w.PutFixed32(Crc32(v2));  // covers every byte before this field
+    w.PutFixed32(0x53535432u);  // "SST2"
+  }
+  ASSERT_TRUE(WriteStringToFile(path, v2).ok());
+  auto r2 = SSTableReader::Open(path);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_TRUE(r2.status().IsCorruption()) << r2.status();
+}
+
+// A v2 table whose index points past the entry area (footer CRC
+// recomputed so only the index check can reject it).
+TEST_F(SSTableTest, IndexOffsetOutOfRangeIsCorruption) {
+  std::string entries;
+  {
+    BinaryWriter w(&entries);
+    w.PutU8(0);  // value
+    w.PutString("k");
+    w.PutString("v");
+  }
+  const auto table = [&](uint64_t block_off) {
+    std::string file = entries;
+    const uint64_t index_off = file.size();
+    BinaryWriter w(&file);
+    w.PutString("k");
+    w.PutVarint64(block_off);
+    const uint64_t blockcrc_off = file.size();
+    w.PutVarint64(1);
+    w.PutFixed32(Crc32(entries));
+    const uint64_t end = file.size();
+    w.PutFixed64(index_off);
+    w.PutFixed64(blockcrc_off - index_off);
+    w.PutFixed64(blockcrc_off);  // empty bloom: ScanAll still reads
+    w.PutFixed64(0);
+    w.PutFixed64(blockcrc_off);
+    w.PutFixed64(end - blockcrc_off);
+    w.PutFixed64(1);  // num_entries
+    w.PutFixed32(Crc32(file));
+    w.PutFixed32(0x53535432u);  // "SST2"
+    return file;
+  };
+  const std::string path = JoinPath(dir_, "index.sst");
+  ASSERT_TRUE(WriteStringToFile(path, table(0)).ok());
+  auto good = SSTableReader::Open(path);
+  ASSERT_TRUE(good.ok()) << good.status();
+  const auto rows = (*good)->ScanAll();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value, "v");
+
+  for (uint64_t bad : {entries.size(), uint64_t{1} << 40, uint64_t{1}}) {
+    ASSERT_TRUE(WriteStringToFile(path, table(bad)).ok());
+    auto r = SSTableReader::Open(path);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_TRUE(r.status().IsCorruption()) << r.status();
+  }
 }
 
 TEST_F(SSTableTest, LargeTableWithRandomLookups) {
