@@ -1,5 +1,5 @@
 // M2: embedding-serving k-NN microbenchmarks — exact vs IVF recall/QPS
-// trade-off (the §3.2 price/performance knob) and int8 quantization.
+// trade-off (the §3.2 price/performance knob) and the float dot kernel.
 //
 // `--gate` runs only the exact-scan ratio gate instead: over the same
 // 20k x 32 cosine corpus, BruteForceIndex::Search must be >= 4x faster
@@ -17,8 +17,6 @@
 
 #include "ann/brute_force_index.h"
 #include "ann/ivf_index.h"
-#include "ann/quantization.h"
-#include "ann/quantized_index.h"
 #include "ann/scan_kernel.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -111,56 +109,6 @@ void BM_IvfSearch(benchmark::State& state) {
   state.counters["recall@10"] = recall_sum / recall_queries;
 }
 BENCHMARK(BM_IvfSearch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
-
-void BM_QuantizedSearch(benchmark::State& state) {
-  static QuantizedBruteForceIndex* index = [] {
-    auto* idx = new QuantizedBruteForceIndex(kDim, Metric::kCosine);
-    const auto& corpus = Corpus();
-    for (size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
-    idx->Build();
-    return idx;
-  }();
-  Rng rng(25);
-  // Recall vs the float exact index.
-  double recall_sum = 0.0;
-  for (int q = 0; q < 20; ++q) {
-    const auto query = RandomQuery(&rng);
-    const auto truth = ExactIndex()->Search(query, 10);
-    const auto approx = index->Search(query, 10);
-    std::set<uint64_t> truth_set;
-    for (const auto& h : truth) truth_set.insert(h.label);
-    int hits = 0;
-    for (const auto& h : approx) {
-      if (truth_set.count(h.label)) ++hits;
-    }
-    recall_sum += hits / 10.0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index->Search(RandomQuery(&rng), 10));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["recall@10"] = recall_sum / 20.0;
-  state.counters["payload_ratio"] =
-      static_cast<double>(index->PayloadBytes()) /
-      static_cast<double>(kCorpus * kDim * 4);
-}
-BENCHMARK(BM_QuantizedSearch);
-
-void BM_QuantizedDot(benchmark::State& state) {
-  Rng rng(23);
-  const auto query = RandomQuery(&rng);
-  std::vector<QuantizedVector> quantized;
-  for (int i = 0; i < 1000; ++i) {
-    quantized.push_back(QuantizeInt8(RandomQuery(&rng)));
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        DotQuantized(query, quantized[i++ % quantized.size()]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuantizedDot);
 
 void BM_FloatDot(benchmark::State& state) {
   Rng rng(24);

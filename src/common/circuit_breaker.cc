@@ -77,7 +77,9 @@ Status CircuitBreaker::Allow() {
     }
   }
   if (state_ == State::kHalfOpen) {
-    if (half_open_in_flight_ >= options_.half_open_max_probes) {
+    // One probe in flight at a time while half-open.
+    constexpr int kHalfOpenMaxProbes = 1;
+    if (half_open_in_flight_ >= kHalfOpenMaxProbes) {
       ++stats_.rejected;
       rejected_counter_.Add();
       return Status::Unavailable("circuit breaker " + stem_ +

@@ -58,7 +58,8 @@ void BinaryWriter::PutFloatVector(const std::vector<float>& v) {
 }
 
 Status BinaryReader::Need(size_t n) {
-  if (pos_ + n > data_.size()) {
+  // Not `pos_ + n > size`: a length prefix near 2^64 wraps that sum.
+  if (n > remaining()) {
     return Status::Corruption("truncated input: need " + std::to_string(n) +
                               " bytes at offset " + std::to_string(pos_));
   }

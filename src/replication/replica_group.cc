@@ -48,7 +48,7 @@ ReplicaGroup::ReplicaGroup(Options options)
         t.seed = options.seed ^ 0x7A115EEDull;
         return t;
       }()) {
-  router_ = serving::ReplicaRouter(options_.router);
+  router_ = ReplicaRouter(options_.router);
 }
 
 Result<std::unique_ptr<ReplicaGroup>> ReplicaGroup::Create(Options options) {
@@ -206,12 +206,12 @@ Status ReplicaGroup::Delete(std::string_view key) {
   return AppendOp(EncodeDelete(key));
 }
 
-std::vector<serving::ReplicaRouter::ReplicaView> ReplicaGroup::Views() const {
-  std::vector<serving::ReplicaRouter::ReplicaView> views;
+std::vector<ReplicaRouter::ReplicaView> ReplicaGroup::Views() const {
+  std::vector<ReplicaRouter::ReplicaView> views;
   const int lid = LeaderId();
   const Replica* leader = lid >= 0 ? replicas_[lid].get() : nullptr;
   for (const auto& r : replicas_) {
-    serving::ReplicaRouter::ReplicaView v;
+    ReplicaRouter::ReplicaView v;
     v.id = r->id();
     v.is_leader = r->id() == lid;
     if (!r->alive() || leader == nullptr) {

@@ -11,8 +11,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "replication/replica.h"
+#include "replication/replica_router.h"
 #include "replication/sim_transport.h"
-#include "serving/replica_router.h"
 
 namespace saga::replication {
 
@@ -29,7 +29,7 @@ namespace saga::replication {
 ///    timeout passes. An OK from Put is the invariant the chaos suite
 ///    hammers: "no acked write is ever lost across any single failure
 ///    + partition schedule".
-///  - Get routed through serving::ReplicaRouter: healthy followers
+///  - Get routed through ReplicaRouter: healthy followers
 ///    within the bounded-staleness window serve reads round-robin;
 ///    lagging or suspected followers are skipped and the leader
 ///    serves instead; a leaderless group answers Unavailable rather
@@ -69,7 +69,7 @@ class ReplicaGroup {
     /// Template for every replica (id/seed/wal_path are overwritten).
     Replica::Options replica;
     SimTransport::Options transport;
-    serving::ReplicaRouter::Options router;
+    ReplicaRouter::Options router;
   };
 
   static Result<std::unique_ptr<ReplicaGroup>> Create(Options options);
@@ -124,10 +124,10 @@ class ReplicaGroup {
   Replica& replica(int i) { return *replicas_[i]; }
   const Replica& replica(int i) const { return *replicas_[i]; }
   SimTransport& transport() { return transport_; }
-  const serving::ReplicaRouter& router() const { return router_; }
+  const ReplicaRouter& router() const { return router_; }
 
   /// Router-facing snapshot of per-replica state.
-  std::vector<serving::ReplicaRouter::ReplicaView> Views() const;
+  std::vector<ReplicaRouter::ReplicaView> Views() const;
 
   /// Encoded KV ops (exposed for tests that append raw records).
   static std::string EncodePut(std::string_view key, std::string_view value);
@@ -147,7 +147,7 @@ class ReplicaGroup {
   std::vector<std::unique_ptr<Replica>> replicas_;
   /// Applied (committed-only) KV state per replica.
   std::vector<std::map<std::string, std::string, std::less<>>> applied_;
-  serving::ReplicaRouter router_;
+  ReplicaRouter router_;
   int last_leader_ = -1;
   uint64_t last_leader_epoch_ = 0;
   uint64_t failovers_ = 0;

@@ -1,8 +1,8 @@
-#include "serving/replica_router.h"
+#include "replication/replica_router.h"
 
 #include "common/metrics.h"
 
-namespace saga::serving {
+namespace saga::replication {
 
 int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
   int leader = -1;
@@ -23,7 +23,6 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
       fallback = r.id;
       fallback_lag = r.lag_records;
     }
-    if (!options_.prefer_followers) continue;
     if (r.lag_records > options_.max_staleness_records) {
       ++stats_.stale_skips;
       SAGA_COUNTER("serving.replica_router.stale_skips").Add();
@@ -49,4 +48,4 @@ int ReplicaRouter::PickRead(const std::vector<ReplicaView>& replicas) {
   return -1;
 }
 
-}  // namespace saga::serving
+}  // namespace saga::replication

@@ -1,20 +1,19 @@
-#ifndef SAGA_SERVING_REPLICA_ROUTER_H_
-#define SAGA_SERVING_REPLICA_ROUTER_H_
+#ifndef SAGA_REPLICATION_REPLICA_ROUTER_H_
+#define SAGA_REPLICATION_REPLICA_ROUTER_H_
 
 #include <cstdint>
 #include <vector>
 
-namespace saga::serving {
+namespace saga::replication {
 
 /// Read-routing policy for a replica group: spread reads over healthy
 /// followers whose replication lag is inside the staleness bound, fall
 /// back to the leader for everything else.
 ///
-/// The router is deliberately decoupled from saga::replication — it
-/// consumes a plain snapshot of per-replica state (ReplicaView) so the
-/// serving tier (embedding cache / KV reads) can route against any
-/// source of replica health: the in-process ReplicaGroup today, a real
-/// cluster membership service later.
+/// The router consumes a plain snapshot of per-replica state
+/// (ReplicaView) rather than Replica objects, so the policy is tested
+/// on its own. Its counters keep the `serving.replica_router.*` names
+/// that `saga_cli stats` reads.
 ///
 /// Guarantee the chaos suite pins: while a healthy leader exists,
 /// PickRead never returns a follower whose `lag_records` exceeds
@@ -43,9 +42,6 @@ class ReplicaRouter {
   struct Options {
     /// Max committed-record lag a follower may have and still serve.
     uint64_t max_staleness_records = 64;
-    /// When false, all reads go to the leader (strongest reads at the
-    /// cost of leader load).
-    bool prefer_followers = true;
   };
 
   struct Stats {
@@ -78,6 +74,6 @@ class ReplicaRouter {
   uint64_t rr_ = 0;
 };
 
-}  // namespace saga::serving
+}  // namespace saga::replication
 
-#endif  // SAGA_SERVING_REPLICA_ROUTER_H_
+#endif  // SAGA_REPLICATION_REPLICA_ROUTER_H_

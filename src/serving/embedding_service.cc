@@ -5,13 +5,18 @@
 
 #include "ann/brute_force_index.h"
 #include "ann/ivf_index.h"
-#include "ann/quantized_index.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
 namespace saga::serving {
+
+namespace {
+
+constexpr ann::Metric kMetric = ann::Metric::kCosine;
+
+}  // namespace
 
 EmbeddingService::EmbeddingService(embedding::EmbeddingStore store,
                                    const kg::KnowledgeGraph* kg)
@@ -42,21 +47,15 @@ std::unique_ptr<ann::VectorIndex> EmbeddingService::MakeIndex(
   std::unique_ptr<ann::VectorIndex> index;
   switch (kind) {
     case IndexKind::kExact:
-      index = std::make_unique<ann::BruteForceIndex>(store_.dim(),
-                                                     options_.metric);
+      index = std::make_unique<ann::BruteForceIndex>(store_.dim(), kMetric);
       break;
     case IndexKind::kIvf: {
       ann::IvfIndex::Options ivf;
       ivf.num_lists = options_.ivf_lists;
       ivf.nprobe = options_.ivf_nprobe;
-      index = std::make_unique<ann::IvfIndex>(store_.dim(),
-                                              options_.metric, ivf);
+      index = std::make_unique<ann::IvfIndex>(store_.dim(), kMetric, ivf);
       break;
     }
-    case IndexKind::kQuantized:
-      index = std::make_unique<ann::QuantizedBruteForceIndex>(
-          store_.dim(), options_.metric);
-      break;
   }
   for (kg::EntityId id : store_.Ids()) {
     index->Add(id.value(), *store_.Get(id));
@@ -110,7 +109,7 @@ Result<double> EmbeddingService::Similarity(kg::EntityId a,
                                             kg::EntityId b) const {
   SAGA_ASSIGN_OR_RETURN(const std::vector<float>* va, Find(a));
   SAGA_ASSIGN_OR_RETURN(const std::vector<float>* vb, Find(b));
-  return ann::Similarity(options_.metric, va->data(), vb->data(), va->size());
+  return ann::Similarity(kMetric, va->data(), vb->data(), va->size());
 }
 
 std::vector<double> EmbeddingService::BatchSimilarity(
@@ -122,8 +121,8 @@ std::vector<double> EmbeddingService::BatchSimilarity(
     const std::vector<float>* vb = store_.Get(b);
     out.push_back(va == nullptr || vb == nullptr
                       ? 0.0
-                      : ann::Similarity(options_.metric, va->data(),
-                                        vb->data(), va->size()));
+                      : ann::Similarity(kMetric, va->data(), vb->data(),
+                                        va->size()));
   }
   return out;
 }
@@ -148,20 +147,6 @@ EmbeddingService::TopKNeighbors(kg::EntityId id, size_t k,
                                 kg::TypeId type_filter,
                                 const RequestContext& ctx) const {
   return TopKNeighborsImpl(id, k, type_filter, &ctx);
-}
-
-std::vector<std::pair<kg::EntityId, double>> EmbeddingService::TopKForVector(
-    const std::vector<float>& query, size_t k,
-    kg::TypeId type_filter) const {
-  // Without a context nothing can fail.
-  return TopKForVectorImpl(query, k, type_filter, nullptr).value();
-}
-
-Result<std::vector<std::pair<kg::EntityId, double>>>
-EmbeddingService::TopKForVector(const std::vector<float>& query, size_t k,
-                                kg::TypeId type_filter,
-                                const RequestContext& ctx) const {
-  return TopKForVectorImpl(query, k, type_filter, &ctx);
 }
 
 Result<std::vector<std::pair<kg::EntityId, double>>>
@@ -213,12 +198,17 @@ EmbeddingService::TopKForVectorImpl(const std::vector<float>& query, size_t k,
 }
 
 double EmbeddingService::HedgeDelayMs() const {
-  const HedgeOptions& h = options_.hedge;
-  if (h.fixed_hedge_ms > 0) return h.fixed_hedge_ms;
+  // Without a fixed timer: a default until enough searches are
+  // recorded, then their live p99 with a floor (p99 of a warm cache is
+  // ~0).
+  constexpr double kMinHedgeMs = 0.2;
+  constexpr double kDefaultHedgeMs = 5.0;
+  constexpr uint64_t kMinSamples = 50;
+  if (options_.hedge.fixed_hedge_ms > 0) return options_.hedge.fixed_hedge_ms;
   const obs::LatencyHistogram& hist =
       SAGA_LATENCY("serving.embedding.search_ns");
-  if (hist.Count() < h.min_samples) return h.default_hedge_ms;
-  return std::max(h.min_hedge_ms, hist.PercentileNs(99.0) / 1e6);
+  if (hist.Count() < kMinSamples) return kDefaultHedgeMs;
+  return std::max(kMinHedgeMs, hist.PercentileNs(99.0) / 1e6);
 }
 
 void EmbeddingService::RecordAnnOutcome(const Status& s, double elapsed_ms,

@@ -20,8 +20,10 @@ namespace saga::serving {
 /// The embedding service of Figure 1: vectorized entity representations
 /// with similarity calculation and efficient k-NN retrieval.
 ///
-/// Robustness: if the configured accelerated index (IVF / quantized)
-/// repeatedly fails to build, the service degrades gracefully to exact
+/// Similarity is cosine throughout.
+///
+/// Robustness: if the configured accelerated index (IVF) repeatedly
+/// fails to build, the service degrades gracefully to exact
 /// brute-force search instead of refusing to serve — correct answers,
 /// reduced throughput. The degradation is observable via degraded()
 /// and the `serving.embedding.degraded` counter.
@@ -40,29 +42,20 @@ class EmbeddingService {
   enum class IndexKind {
     kExact,
     kIvf,
-    /// int8-quantized exact index: 4x smaller, slightly lossy (the
-    /// on-device / compressed serving tier).
-    kQuantized,
   };
 
-  /// Hedged-read policy for accelerated (IVF / quantized) searches.
+  /// Hedged-read policy for accelerated (IVF) searches.
   struct HedgeOptions {
     bool enabled = false;
     /// Fixed hedge timer; <= 0 derives the timer from the live p99 of
-    /// `serving.embedding.search_ns` once `min_samples` are recorded.
+    /// `serving.embedding.search_ns` (see HedgeDelayMs).
     double fixed_hedge_ms = 0.0;
-    /// Floor for the adaptive timer (p99 of a warm cache is ~0).
-    double min_hedge_ms = 0.2;
-    /// Adaptive timer before enough samples exist.
-    double default_hedge_ms = 5.0;
-    uint64_t min_samples = 50;
     /// Workers running primary searches so the caller can hedge.
     int threads = 2;
   };
 
   struct Options {
     IndexKind index = IndexKind::kExact;
-    ann::Metric metric = ann::Metric::kCosine;
     int ivf_lists = 32;
     int ivf_nprobe = 4;
     /// Backoff schedule for transient index-build failures.
@@ -87,7 +80,7 @@ class EmbeddingService {
   /// NotFound when the entity has no embedding.
   Result<std::vector<float>> GetEmbedding(kg::EntityId id) const;
 
-  /// Cosine (or configured metric) similarity between two entities.
+  /// Cosine similarity between two entities.
   Result<double> Similarity(kg::EntityId a, kg::EntityId b) const;
 
   /// Batch inference over candidate entity pairs (§2: "it might
@@ -102,21 +95,13 @@ class EmbeddingService {
       kg::EntityId id, size_t k,
       kg::TypeId type_filter = kg::TypeId::Invalid()) const;
 
-  /// k-NN for an arbitrary query vector.
-  std::vector<std::pair<kg::EntityId, double>> TopKForVector(
-      const std::vector<float>& query, size_t k,
-      kg::TypeId type_filter = kg::TypeId::Invalid()) const;
-
-  /// Deadline-aware serving variants: cooperative deadline checks, the
+  /// Deadline-aware serving variant: cooperative deadline checks, the
   /// `ann.search` fault point, the ANN circuit breaker, and hedged
   /// reads (all per Options). DeadlineExceeded when the budget is spent
   /// before a useful answer exists; Unavailable when the breaker is
   /// open and no exact backup can serve.
   Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighbors(
       kg::EntityId id, size_t k, kg::TypeId type_filter,
-      const RequestContext& ctx) const;
-  Result<std::vector<std::pair<kg::EntityId, double>>> TopKForVector(
-      const std::vector<float>& query, size_t k, kg::TypeId type_filter,
       const RequestContext& ctx) const;
 
   const embedding::EmbeddingStore& store() const { return store_; }
@@ -144,8 +129,8 @@ class EmbeddingService {
   /// Builds and populates an index of `kind` from the store.
   std::unique_ptr<ann::VectorIndex> MakeIndex(IndexKind kind) const;
 
-  /// Both overloads of each query; `ctx` == nullptr (the ctx-less
-  /// overloads) skips deadline checks and every serving policy and
+  /// Both TopKNeighbors overloads; `ctx` == nullptr (the ctx-less
+  /// overload) skips deadline checks and every serving policy and
   /// searches `index_` directly.
   Result<std::vector<std::pair<kg::EntityId, double>>> TopKNeighborsImpl(
       kg::EntityId id, size_t k, kg::TypeId type_filter,

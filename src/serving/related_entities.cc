@@ -106,14 +106,16 @@ RelatedEntitiesService::RelatedImpl(kg::EntityId id, size_t k,
       SAGA_ASSIGN_OR_RETURN(auto ppr_hits,
                             PprRelated(id, k * 4 + 16, type_filter, ctx));
       // Reciprocal-rank fusion: robust to incomparable score scales.
+      // Both engines weigh equally.
+      constexpr double kEmbeddingWeight = 0.5;
       std::unordered_map<kg::EntityId, double> fused;
-      const double w = options_.blend_embedding_weight;
       for (size_t i = 0; i < emb_hits.size(); ++i) {
-        fused[emb_hits[i].first] += w / (60.0 + static_cast<double>(i));
+        fused[emb_hits[i].first] +=
+            kEmbeddingWeight / (60.0 + static_cast<double>(i));
       }
       for (size_t i = 0; i < ppr_hits.size(); ++i) {
         fused[ppr_hits[i].first] +=
-            (1.0 - w) / (60.0 + static_cast<double>(i));
+            (1.0 - kEmbeddingWeight) / (60.0 + static_cast<double>(i));
       }
       std::vector<std::pair<kg::EntityId, double>> merged(fused.begin(),
                                                           fused.end());

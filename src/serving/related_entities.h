@@ -23,7 +23,6 @@ class RelatedEntitiesService {
 
   struct Options {
     Mode mode = Mode::kEmbedding;
-    double blend_embedding_weight = 0.5;
     /// Exclude entities directly linked to the query (users already
     /// know those; "related" should surface non-obvious peers).
     bool exclude_direct_neighbors = false;

@@ -296,9 +296,7 @@ Status SSTableReader::VerifyBlock(size_t block) const {
 }
 
 Status SSTableReader::VerifyBlockContaining(uint64_t off) const {
-  if (options_.verify == ReadVerifyMode::kNone || block_starts_.empty()) {
-    return Status::OK();
-  }
+  if (block_starts_.empty()) return Status::OK();
   const size_t block = BlockIndexFor(off);
   if (options_.verify == ReadVerifyMode::kFirstRead &&
       verified_[block].load(std::memory_order_relaxed) != 0) {

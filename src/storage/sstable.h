@@ -14,13 +14,11 @@
 
 namespace saga::storage {
 
-/// When (if ever) the read path re-verifies per-block CRCs. Open-time
-/// always verifies the whole-file footer CRC; block verification
-/// defends against bit rot that appears *after* open (page cache / RAM
-/// / remapped sectors) and against long-lived readers.
+/// When the read path re-verifies per-block CRCs. Open-time always
+/// verifies the whole-file footer CRC; block verification defends
+/// against bit rot that appears *after* open (page cache / RAM /
+/// remapped sectors) and against long-lived readers.
 enum class ReadVerifyMode {
-  /// Trust the open-time whole-file check; no per-read verification.
-  kNone,
   /// Verify each block the first time a read touches it, then memoize
   /// (one relaxed atomic flag per block) — near-free steady state.
   kFirstRead,
@@ -162,7 +160,7 @@ class SSTableReader {
   /// Index of the block containing byte offset `off` in the entry area.
   size_t BlockIndexFor(uint64_t off) const;
   /// Verifies (per verify mode, with memoization) the block containing
-  /// `off`. OK in kNone mode; kDataLoss on CRC mismatch.
+  /// `off`. kDataLoss on CRC mismatch.
   Status VerifyBlockContaining(uint64_t off) const;
   Status VerifyBlock(size_t block) const;
 

@@ -7,7 +7,6 @@
 #include "ann/brute_force_index.h"
 #include "ann/distance.h"
 #include "ann/ivf_index.h"
-#include "ann/quantization.h"
 #include "ann/scan_kernel.h"
 #include "ann/vector_matrix.h"
 #include "common/rng.h"
@@ -389,59 +388,6 @@ TEST(ScanKernelTest, NearTiesAndDuplicatesMatchPlainDoubleScan) {
       }
     }
   }
-}
-
-// ---------- Quantization ----------
-
-TEST(QuantizationTest, RoundTripErrorIsBounded) {
-  Rng rng(9);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<float> x(64);
-    float max_abs = 0.0f;
-    for (float& v : x) {
-      v = static_cast<float>(rng.UniformDouble(-2.0, 2.0));
-      max_abs = std::max(max_abs, std::abs(v));
-    }
-    const QuantizedVector q = QuantizeInt8(x);
-    const std::vector<float> restored = DequantizeInt8(q);
-    ASSERT_EQ(restored.size(), x.size());
-    const float tolerance = max_abs / 127.0f + 1e-6f;
-    for (size_t i = 0; i < x.size(); ++i) {
-      EXPECT_NEAR(restored[i], x[i], tolerance);
-    }
-  }
-}
-
-TEST(QuantizationTest, ZeroVector) {
-  const std::vector<float> zero(16, 0.0f);
-  const QuantizedVector q = QuantizeInt8(zero);
-  for (int8_t v : q.q) EXPECT_EQ(v, 0);
-  EXPECT_EQ(DequantizeInt8(q), zero);
-}
-
-TEST(QuantizationTest, DotApproximatesFloatDot) {
-  Rng rng(11);
-  double max_rel_err = 0.0;
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<float> a(32);
-    std::vector<float> b(32);
-    for (int i = 0; i < 32; ++i) {
-      a[i] = static_cast<float>(rng.NextGaussian());
-      b[i] = static_cast<float>(rng.NextGaussian());
-    }
-    const double exact = Dot(a.data(), b.data(), 32);
-    const double approx = DotQuantized(a, QuantizeInt8(b));
-    const double scale = std::abs(exact) + 1.0;
-    max_rel_err = std::max(max_rel_err, std::abs(exact - approx) / scale);
-  }
-  EXPECT_LT(max_rel_err, 0.05);
-}
-
-TEST(QuantizationTest, CompressionRatioIsFourX) {
-  const std::vector<float> x(128, 1.0f);
-  const QuantizedVector q = QuantizeInt8(x);
-  EXPECT_EQ(QuantizedBytes(q), 128u + sizeof(float));
-  EXPECT_LT(QuantizedBytes(q) * 3, x.size() * sizeof(float));
 }
 
 }  // namespace

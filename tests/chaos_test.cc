@@ -433,38 +433,34 @@ TEST(ChaosServingTest, DegradedEmbeddingServiceServesExactResults) {
                          &gen.kg);
   ASSERT_FALSE(exact.degraded());
 
-  for (EmbeddingService::IndexKind kind :
-       {EmbeddingService::IndexKind::kIvf,
-        EmbeddingService::IndexKind::kQuantized}) {
-    EmbeddingService::Options opts;
-    opts.index = kind;
-    opts.retry.max_attempts = 2;
-    opts.retry.initial_backoff_ms = 0.0;
-    opts.retry.max_backoff_ms = 0.0;
-    FaultSpec spec;
-    spec.fail_nth = 0;  // every build attempt fails
-    spec.repeat = true;
-    ScopedFault fault("serving.index_build", spec);
-    obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded");
-    obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
-    const int64_t degraded_before = degraded.Value();
-    const int64_t retries_before = retries.Value();
-    EmbeddingService service(
-        embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
-    EXPECT_TRUE(service.degraded());
-    EXPECT_EQ(degraded.Value() - degraded_before, 1);
-    EXPECT_GE(retries.Value() - retries_before, 1);
+  EmbeddingService::Options opts;
+  opts.index = EmbeddingService::IndexKind::kIvf;
+  opts.retry.max_attempts = 2;
+  opts.retry.initial_backoff_ms = 0.0;
+  opts.retry.max_backoff_ms = 0.0;
+  FaultSpec spec;
+  spec.fail_nth = 0;  // every build attempt fails
+  spec.repeat = true;
+  ScopedFault fault("serving.index_build", spec);
+  obs::Counter& degraded = SAGA_COUNTER("serving.embedding.degraded");
+  obs::Counter& retries = SAGA_COUNTER("resource.retry.attempts");
+  const int64_t degraded_before = degraded.Value();
+  const int64_t retries_before = retries.Value();
+  EmbeddingService service(
+      embedding::EmbeddingStore::FromTrained(emb, view), &gen.kg, opts);
+  EXPECT_TRUE(service.degraded());
+  EXPECT_EQ(degraded.Value() - degraded_before, 1);
+  EXPECT_GE(retries.Value() - retries_before, 1);
 
-    const kg::EntityId a = view.global_entity(1);
-    auto degraded_hits = service.TopKNeighbors(a, 5);
-    auto exact_hits = exact.TopKNeighbors(a, 5);
-    ASSERT_TRUE(degraded_hits.ok());
-    ASSERT_TRUE(exact_hits.ok());
-    ASSERT_EQ(degraded_hits->size(), exact_hits->size());
-    for (size_t i = 0; i < exact_hits->size(); ++i) {
-      EXPECT_EQ((*degraded_hits)[i].first, (*exact_hits)[i].first);
-      EXPECT_NEAR((*degraded_hits)[i].second, (*exact_hits)[i].second, 1e-9);
-    }
+  const kg::EntityId a = view.global_entity(1);
+  auto degraded_hits = service.TopKNeighbors(a, 5);
+  auto exact_hits = exact.TopKNeighbors(a, 5);
+  ASSERT_TRUE(degraded_hits.ok());
+  ASSERT_TRUE(exact_hits.ok());
+  ASSERT_EQ(degraded_hits->size(), exact_hits->size());
+  for (size_t i = 0; i < exact_hits->size(); ++i) {
+    EXPECT_EQ((*degraded_hits)[i].first, (*exact_hits)[i].first);
+    EXPECT_NEAR((*degraded_hits)[i].second, (*exact_hits)[i].second, 1e-9);
   }
   Faults().DisarmAll();
 }

@@ -322,6 +322,37 @@ TEST(SerializationTest, FloatVectorLengthOverflowIsCorruption) {
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
 }
 
+// Regression: a length prefix of 2^64 - 6 wrapped the old
+// `pos_ + n > size` check past the 4 payload bytes, so the read
+// "succeeded" and moved the position backwards.
+TEST(SerializationTest, HugeVarintLengthIsCorruption) {
+  std::string buf;
+  BinaryWriter w(&buf);
+  w.PutVarint64(~uint64_t{0} - 5);
+  ASSERT_EQ(buf.size(), 10u);
+  buf += "ABCD";
+
+  {
+    BinaryReader r(buf);
+    std::string s;
+    EXPECT_EQ(r.GetString(&s).code(), StatusCode::kCorruption);
+    EXPECT_GE(r.position(), 10u);
+  }
+  {
+    BinaryReader r(buf);
+    std::string_view sv;
+    EXPECT_EQ(r.GetStringView(&sv).code(), StatusCode::kCorruption);
+    EXPECT_GE(r.position(), 10u);
+  }
+  {
+    BinaryReader r(buf);
+    uint64_t len = 0;
+    ASSERT_TRUE(r.GetVarint64(&len).ok());
+    EXPECT_EQ(r.Skip(len).code(), StatusCode::kCorruption);
+    EXPECT_EQ(r.position(), 10u);
+  }
+}
+
 TEST(SerializationTest, FloatVectorRoundTripsBitExact) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{257}}) {
     std::vector<float> in(n);

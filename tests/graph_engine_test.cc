@@ -523,7 +523,9 @@ TEST(PprTest, TopKExcludesSourceAndIsSorted) {
   EXPECT_LE(top.size(), 10u);
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_NE(top[i].first, 0u);
-    if (i > 0) EXPECT_GE(top[i - 1].second, top[i].second);
+    if (i > 0) {
+      EXPECT_GE(top[i - 1].second, top[i].second);
+    }
   }
 }
 

@@ -1,14 +1,11 @@
 // Cross-cutting property tests: randomized invariants that hold across
 // module boundaries (serialization fuzz, WAL truncation, incremental
-// view maintenance vs full rebuild, quantized vs float serving,
-// trending gaps, asset maintenance).
+// view maintenance vs full rebuild, trending gaps, asset maintenance).
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "ann/brute_force_index.h"
-#include "ann/quantized_index.h"
 #include "common/file_util.h"
 #include "common/rng.h"
 #include "graph_engine/view.h"
@@ -180,60 +177,6 @@ TEST(ViewMaintenanceTest, DeltaEqualsRebuild) {
     return edges;
   };
   EXPECT_EQ(canonical(incremental), canonical(rebuilt));
-}
-
-// ---------- Quantized serving vs float serving ----------
-
-TEST(QuantizedIndexTest, TopKOverlapsFloatIndex) {
-  Rng rng(17);
-  const int dim = 32;
-  ann::BruteForceIndex exact(dim, ann::Metric::kCosine);
-  ann::QuantizedBruteForceIndex quantized(dim, ann::Metric::kCosine);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    std::vector<float> v(dim);
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    exact.Add(i, v);
-    quantized.Add(i, v);
-  }
-  exact.Build();
-  quantized.Build();
-  EXPECT_LT(quantized.PayloadBytes(), 1000u * dim * 4 / 3);
-
-  double recall_sum = 0.0;
-  const int queries = 20;
-  for (int q = 0; q < queries; ++q) {
-    std::vector<float> query(dim);
-    for (float& x : query) x = static_cast<float>(rng.NextGaussian());
-    const auto truth = exact.Search(query, 10);
-    const auto approx = quantized.Search(query, 10);
-    std::set<uint64_t> truth_set;
-    for (const auto& h : truth) truth_set.insert(h.label);
-    int hits = 0;
-    for (const auto& h : approx) {
-      if (truth_set.count(h.label)) ++hits;
-    }
-    recall_sum += hits / 10.0;
-  }
-  EXPECT_GT(recall_sum / queries, 0.85);
-}
-
-TEST(QuantizedIndexTest, ServesThroughEmbeddingService) {
-  kg::KgGeneratorConfig config;
-  config.num_persons = 80;
-  kg::GeneratedKg gen = kg::GenerateKg(config);
-  embedding::EmbeddingStore store;
-  Rng rng(3);
-  for (size_t i = 0; i < gen.kg.num_entities(); ++i) {
-    std::vector<float> v(16);
-    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
-    store.Put(kg::EntityId(i), std::move(v));
-  }
-  serving::EmbeddingService::Options opts;
-  opts.index = serving::EmbeddingService::IndexKind::kQuantized;
-  serving::EmbeddingService service(std::move(store), &gen.kg, opts);
-  auto hits = service.TopKNeighbors(kg::EntityId(5), 4);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 4u);
 }
 
 // ---------- Trending gaps ----------

@@ -35,8 +35,8 @@
 #include "replication/log.h"
 #include "replication/replica.h"
 #include "replication/replica_group.h"
+#include "replication/replica_router.h"
 #include "replication/sim_transport.h"
-#include "serving/replica_router.h"
 
 namespace saga::replication {
 namespace {
@@ -253,10 +253,10 @@ TEST_F(ReplicationTest, PartitionedFollowerCatchesUpAfterHeal) {
 // --- bounded-staleness routing -------------------------------------
 
 TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
-  serving::ReplicaRouter::Options opt;
+  ReplicaRouter::Options opt;
   opt.max_staleness_records = 4;
-  serving::ReplicaRouter router(opt);
-  std::vector<serving::ReplicaRouter::ReplicaView> views = {
+  ReplicaRouter router(opt);
+  std::vector<ReplicaRouter::ReplicaView> views = {
       {/*id=*/0, /*is_leader=*/true, /*healthy=*/true, /*lag=*/0},
       {/*id=*/1, /*is_leader=*/false, /*healthy=*/true, /*lag=*/10},
       {/*id=*/2, /*is_leader=*/false, /*healthy=*/false, /*lag=*/0},
@@ -287,8 +287,8 @@ TEST_F(ReplicationTest, RouterSkipsLaggingAndUnhealthyFollowers) {
 }
 
 TEST_F(ReplicationTest, RouterSpreadsReadsOverHealthyFollowers) {
-  serving::ReplicaRouter router;
-  std::vector<serving::ReplicaRouter::ReplicaView> views = {
+  ReplicaRouter router;
+  std::vector<ReplicaRouter::ReplicaView> views = {
       {0, true, true, 0},
       {1, false, true, 0},
       {2, false, true, 0},
@@ -515,7 +515,7 @@ void RunChaosRound(uint64_t seed, bool wal_backed, const std::string& dir) {
     // replica, and never a follower past the bound unless it degraded
     // to the last-resort stale fallback (leader down and nobody inside
     // the bound).
-    serving::ReplicaRouter probe(group->router().options());
+    ReplicaRouter probe(group->router().options());
     const auto views = group->Views();
     const int picked = probe.PickRead(views);
     if (picked >= 0) {

@@ -176,7 +176,7 @@ obs::HealthSection BuildServingSection() {
 }
 
 /// Storage background-maintenance surface: immutable-memtable backlog
-/// and L0 table count (the two write-stall gates), flush/compaction/
+/// (the write-stall gate) and L0 table count, flush/compaction/
 /// rotation counters, stall sheds and background failures. Live in a
 /// process hosting a KvStore with background_maintenance on.
 obs::HealthSection BuildStorageSection() {
