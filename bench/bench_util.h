@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -87,6 +88,98 @@ class Samples {
 
  private:
   std::vector<double> v_;
+};
+
+/// One bench run in machine-readable form: its name, configuration,
+/// metrics and gate results, written as `BENCH_<name>.json` so that two
+/// runs can be compared (`scripts/bench_compare.sh A.json B.json`).
+/// Metrics use perfbench's shape, `{"value": v, "unit": u}`; a
+/// non-finite number is written as null.
+class Report {
+ public:
+  explicit Report(std::string name) : name_(std::move(name)) {}
+
+  void Config(const std::string& key, const std::string& value) {
+    config_.emplace_back(key, Quote(value));
+  }
+  void Config(const std::string& key, double value) {
+    config_.emplace_back(key, Number(value));
+  }
+  void Metric(const std::string& key, double value, const std::string& unit) {
+    metrics_.emplace_back(key, "{\"value\": " + Number(value) +
+                                   ", \"unit\": " + Quote(unit) + "}");
+  }
+  /// One gate check, `value op threshold` (op e.g. ">=" or "=="), and
+  /// whether it held.
+  void Gate(const std::string& key, double value, const std::string& op,
+            double threshold, bool pass) {
+    gates_.emplace_back(key, "{\"value\": " + Number(value) +
+                                 ", \"op\": " + Quote(op) +
+                                 ", \"threshold\": " + Number(threshold) +
+                                 ", \"pass\": " + (pass ? "true" : "false") +
+                                 "}");
+    passed_ = passed_ && pass;
+  }
+  bool passed() const { return passed_; }
+
+  std::string Json() const {
+    return "{\"name\": " + Quote(name_) + ",\n \"config\": " + Object(config_) +
+           ",\n \"metrics\": " + Object(metrics_) +
+           ",\n \"gates\": " + Object(gates_) +
+           ",\n \"pass\": " + (passed_ ? "true" : "false") + "}\n";
+  }
+
+  /// Writes Json() to `<dir>/BENCH_<name>.json` and returns the path,
+  /// or "" when the file cannot be written.
+  std::string Write(const std::string& dir) const {
+    const std::string path = dir + "/BENCH_" + name_ + ".json";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) return "";
+    const std::string json = Json();
+    const bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
+                    json.size();
+    return std::fclose(f) == 0 && ok ? path : "";
+  }
+
+ private:
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+
+  static std::string Quote(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') {
+        out += '\\';
+        out += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      } else {
+        out += c;
+      }
+    }
+    return out + "\"";
+  }
+  static std::string Number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    return buf;
+  }
+  static std::string Object(const Fields& fields) {
+    std::string out = "{";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i == 0 ? "" : ", ") + Quote(fields[i].first) + ": " +
+             fields[i].second;
+    }
+    return out + "}";
+  }
+
+  std::string name_;
+  Fields config_;
+  Fields metrics_;
+  Fields gates_;
+  bool passed_ = true;
 };
 
 inline std::string Fmt(double v, int decimals = 3) {

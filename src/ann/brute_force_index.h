@@ -9,7 +9,7 @@
 namespace saga::ann {
 
 /// Exact k-NN by full scan. The recall=1.0 baseline the IVF index is
-/// benchmarked against. Selects with the fp32 scan kernel and rescores
+/// benchmarked against. Selects with the fp16 scan kernel and rescores
 /// the hits in double (see TopKScan), so similarities are exactly those
 /// of a plain `Similarity` scan.
 class BruteForceIndex : public VectorIndex {
@@ -17,7 +17,7 @@ class BruteForceIndex : public VectorIndex {
   BruteForceIndex(int dim, Metric metric) : metric_(metric), rows_(dim) {}
 
   void Add(uint64_t label, const std::vector<float>& vec) override;
-  void Build() override {}
+  void Build() override { rows_.ShrinkToFit(); }
   std::vector<Neighbor> Search(const std::vector<float>& query,
                                size_t k) const override;
   size_t size() const override { return rows_.size(); }

@@ -32,10 +32,23 @@ inline double Norm(const float* a, size_t dim) {
 }
 
 inline double CosineSim(const float* a, const float* b, size_t dim) {
-  const double na = Norm(a, dim);
-  const double nb = Norm(b, dim);
+  // Dot(a, b), Dot(a, a) and Dot(b, b) in one pass: each sum adds the
+  // same terms in the same order as its own loop would, so the result
+  // is bit-identical, but the three dependency chains overlap.
+  double ab = 0.0;
+  double aa = 0.0;
+  double bb = 0.0;
+  for (size_t i = 0; i < dim; ++i) {
+    const double x = a[i];
+    const double y = b[i];
+    ab += x * y;
+    aa += x * x;
+    bb += y * y;
+  }
+  const double na = std::sqrt(aa);
+  const double nb = std::sqrt(bb);
   if (na == 0.0 || nb == 0.0) return 0.0;
-  return Dot(a, b, dim) / (na * nb);
+  return ab / (na * nb);
 }
 
 /// Unified "higher is better" similarity under a metric (L2 is negated).

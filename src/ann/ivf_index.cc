@@ -85,6 +85,7 @@ void IvfIndex::Build() {
   for (size_t i = 0; i < n; ++i) {
     lists_[assign[i]].Add(staged_.label(i), staged_.row(i));
   }
+  for (VectorMatrix& list : lists_) list.ShrinkToFit();
   staged_.Clear();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -42,7 +43,11 @@ std::optional<uint64_t> ParseDigits(std::string_view digits) {
   uint64_t seq = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return std::nullopt;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    // The seq and its successor (the next free seq) must fit: a wrapped
+    // value would collide with a real seq (2^64 would read as 0).
+    if (seq > (UINT64_MAX - 1 - digit) / 10) return std::nullopt;
+    seq = seq * 10 + digit;
   }
   return seq;
 }
@@ -274,6 +279,11 @@ Status KvStore::Recover() {
     if (auto wseq = ParseWalSegSeq(name)) {
       next_wal_seq_ = std::max(next_wal_seq_, *wseq + 1);
       wal_segments.emplace_back(*wseq, name);
+      continue;
+    }
+    if (name.rfind(kWalSegPrefix, 0) == 0 && EndsWith(name, kWalSegSuffix)) {
+      ++rs.malformed_names_skipped;
+      SAGA_LOG(Warning) << "skipping non-conforming WAL segment name " << name;
       continue;
     }
     if (EndsWith(name, ".tmp")) {

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "ann/brute_force_index.h"
 #include "ann/distance.h"
 #include "ann/ivf_index.h"
 #include "ann/scan_kernel.h"
+#include "ann/top_k_scan.h"
 #include "ann/vector_matrix.h"
 #include "common/rng.h"
 
@@ -189,6 +197,134 @@ TEST(IvfTest, EmptyIndexIsFine) {
   EXPECT_TRUE(ivf.Search({0, 0, 0, 0}, 3).empty());
 }
 
+// ---------- fp16 conversion ----------
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SAGA_TEST_X86 1
+bool CpuHasF16c() { return __builtin_cpu_supports("f16c"); }
+__attribute__((target("f16c"))) uint16_t HardwareFloatToHalf(float f) {
+  return static_cast<uint16_t>(_cvtss_sh(f, _MM_FROUND_TO_NEAREST_INT));
+}
+__attribute__((target("f16c"))) float HardwareHalfToFloat(uint16_t h) {
+  return _cvtsh_ss(h);
+}
+#endif
+
+bool IsHalfNan(uint16_t h) { return (h & 0x7c00u) == 0x7c00u && (h & 0x3ffu); }
+
+uint32_t Bits(float f) {
+  uint32_t x;
+  std::memcpy(&x, &f, sizeof(x));
+  return x;
+}
+
+float FromBits(uint32_t x) {
+  float f;
+  std::memcpy(&f, &x, sizeof(f));
+  return f;
+}
+
+TEST(HalfTest, EveryHalfRoundTripsThroughFloat) {
+  for (uint32_t h = 0; h <= 0xffff; ++h) {
+    const auto half = static_cast<uint16_t>(h);
+    const float f = HalfToFloat(half);
+    if (IsHalfNan(half)) {
+      EXPECT_TRUE(std::isnan(f)) << std::hex << h;
+      EXPECT_TRUE(IsHalfNan(FloatToHalf(f))) << std::hex << h;
+    } else {
+      EXPECT_EQ(FloatToHalf(f), half) << std::hex << h;
+    }
+#ifdef SAGA_TEST_X86
+    if (CpuHasF16c()) {
+      const float hw = HardwareHalfToFloat(half);
+      if (IsHalfNan(half)) {
+        EXPECT_TRUE(std::isnan(hw)) << std::hex << h;
+      } else {
+        EXPECT_EQ(Bits(f), Bits(hw)) << std::hex << h;
+      }
+    }
+#endif
+  }
+}
+
+TEST(HalfTest, FloatToHalfMatchesF16c) {
+#ifdef SAGA_TEST_X86
+  if (!CpuHasF16c()) GTEST_SKIP() << "CPU lacks F16C";
+  std::vector<float> sweep = {0.0f, -0.0f, 65504.0f, 65519.996f, 65520.0f,
+                              65536.0f, 1e5f, 3.0e38f, 0x1p-24f, 0x1p-25f,
+                              0x1p-26f, 0x1p-14f, 1e-45f,
+                              std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              FromBits(0x7f800001u), FromBits(0x7fc12345u),
+                              FromBits(0xffa00000u)};
+  // Every half, the midpoint to its successor (an RNE tie) and the
+  // floats either side of that midpoint; covers subnormals and the
+  // 65504/65520 overflow edge.
+  for (uint32_t h = 0; h < 0x7c00; ++h) {
+    const float lo = HalfToFloat(static_cast<uint16_t>(h));
+    const float hi = h + 1 < 0x7c00 ? HalfToFloat(static_cast<uint16_t>(h + 1))
+                                    : 65536.0f;
+    const float mid = lo + (hi - lo) / 2;  // exact: 11 of 24 bits used
+    for (float f : {lo, mid, std::nextafter(mid, 0.0f),
+                    std::nextafter(mid, 1e9f)}) {
+      sweep.push_back(f);
+      sweep.push_back(-f);
+    }
+  }
+  Rng rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    sweep.push_back(FromBits(static_cast<uint32_t>(rng.NextUint64())));
+  }
+  for (float f : sweep) {
+    EXPECT_EQ(FloatToHalf(f), HardwareFloatToHalf(f))
+        << std::hex << Bits(f) << " (" << f << ")";
+  }
+#else
+  GTEST_SKIP() << "not an x86 CPU";
+#endif
+}
+
+// ---------- VectorMatrix ----------
+
+TEST(VectorMatrixTest, Fp16BlocksAreDimMajorAndZeroPadded) {
+  const int dim = 3;
+  const auto rows = RandomVectors(17, dim, 4);
+  VectorMatrix m(dim);
+  for (size_t i = 0; i < rows.size(); ++i) m.Add(i, rows[i].data());
+  m.ShrinkToFit();
+  double max_err = 0.0;
+  double max_rel = 0.0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint16_t* block = m.block(i / 16);
+    double err2 = 0.0;
+    for (int d = 0; d < dim; ++d) {
+      const uint16_t h = block[d * 16 + i % 16];
+      EXPECT_EQ(h, FloatToHalf(rows[i][d])) << "row " << i << " dim " << d;
+      const double e = double{HalfToFloat(h)} - rows[i][d];
+      err2 += e * e;
+    }
+    max_err = std::max(max_err, std::sqrt(err2));
+    max_rel = std::max(max_rel, std::sqrt(err2) / Norm(rows[i].data(), dim));
+  }
+  // Row 16 opens block 1; its other 15 lanes and inv norms are zero.
+  for (size_t lane = 1; lane < 16; ++lane) {
+    for (int d = 0; d < dim; ++d) EXPECT_EQ(m.block(1)[d * 16 + lane], 0u);
+    EXPECT_EQ(m.inv_norms()[16 + lane], 0.0f);
+  }
+  EXPECT_EQ(m.max_half_error(), max_err);
+  EXPECT_EQ(m.max_half_rel_error(), max_rel);
+  EXPECT_GT(max_err, 0.0);
+
+  VectorMatrix wide(2);
+  const float in_range[] = {1.0f, 65504.0f};
+  const float beyond[] = {1.0f, 1e5f};
+  wide.Add(0, in_range);
+  EXPECT_TRUE(std::isfinite(wide.max_half_error()));
+  wide.Add(1, beyond);
+  EXPECT_TRUE(std::isinf(wide.max_half_error()));
+  EXPECT_TRUE(std::isinf(wide.max_half_rel_error()));
+}
+
 // ---------- Scan kernel ----------
 
 const int kKernelDims[] = {1, 3, 7, 8, 31, 32, 33, 100};
@@ -222,13 +358,33 @@ float InvNorm(const std::vector<float>& v) {
   return n > 0.0 ? static_cast<float>(1.0 / n) : 0.0f;
 }
 
-std::vector<float> ScoreAll(ScoreBlockFn fn, Metric metric,
+std::vector<Survivor> ScanAll(ScanBlocksFn fn, Metric metric,
+                              const std::vector<float>& query,
+                              const VectorMatrix& m, float floor) {
+  std::vector<Survivor> out(m.size());
+  out.resize(fn(metric, query.data(), InvNorm(query), m.block(0),
+                m.inv_norms(), m.size(), query.size(), floor, out.data()));
+  return out;
+}
+
+/// Every row's score: the survivors of a -inf floor, which are all rows
+/// while scores are finite.
+std::vector<float> ScoreAll(ScanBlocksFn fn, Metric metric,
                             const std::vector<float>& query,
                             const VectorMatrix& m) {
-  std::vector<float> scores(m.size());
-  fn(metric, query.data(), InvNorm(query), m.row(0), m.inv_norms(), m.size(),
-     query.size(), scores.data());
+  const auto kept = ScanAll(fn, metric, query, m,
+                            -std::numeric_limits<float>::infinity());
+  EXPECT_EQ(kept.size(), m.size());
+  std::vector<float> scores;
+  for (const Survivor& s : kept) scores.push_back(s.score);
   return scores;
+}
+
+std::vector<std::pair<const char*, ScanBlocksFn>> SimdVariants() {
+  std::vector<std::pair<const char*, ScanBlocksFn>> out;
+  if (CpuHasAvx2Fma()) out.emplace_back("avx2", &ScanBlocksAvx2);
+  if (CpuHasAvx512()) out.emplace_back("avx512", &ScanBlocksAvx512);
+  return out;
 }
 
 // The plain reference: every similarity in double, best first, ties by
@@ -260,24 +416,58 @@ void ExpectSameHits(const std::vector<Neighbor>& got,
   }
 }
 
-TEST(ScanKernelTest, Avx2MatchesScalarReference) {
-  if (!CpuHasAvx2Fma()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+// The scalar reference rounds each multiply and add, the SIMD variants
+// fuse them, so scores differ in the last bits. A floor in a gap
+// between sorted scalar scores wider than twice the 1e-5 tolerance,
+// from the 90th percentile up, must keep the same rows in every
+// variant; nullopt when there is no such gap.
+std::optional<float> GapFloor(std::vector<float> scores) {
+  std::sort(scores.begin(), scores.end());
+  for (size_t i = scores.size() * 9 / 10; i + 1 < scores.size(); ++i) {
+    const double lo = scores[i];
+    const double hi = scores[i + 1];
+    const double tol = 1e-5 * std::max({1.0, std::abs(lo), std::abs(hi)});
+    if (hi - lo > 2 * tol) return static_cast<float>(lo + (hi - lo) / 2);
+  }
+  return std::nullopt;
+}
+
+TEST(ScanKernelTest, VariantsMatchScalarReference) {
+  const auto variants = SimdVariants();
+  if (variants.empty()) GTEST_SKIP() << "CPU lacks AVX2+FMA+F16C";
   for (int dim : kKernelDims) {
     for (size_t n : kKernelRows) {
       const KernelCase c = MakeKernelCase(n, dim, 1000 * dim + n);
       for (const auto& query : KernelQueries(dim, 7 * dim + n)) {
         for (Metric metric : kMetrics) {
-          const auto scalar = ScoreAll(&ScoreBlockScalar, metric, query,
-                                       c.matrix);
-          const auto avx2 = ScoreAll(&ScoreBlockAvx2, metric, query,
-                                     c.matrix);
-          for (size_t i = 0; i < n; ++i) {
-            // Relative error, floored at magnitude 1 so a score that
-            // cancels to ~0 is not held to a tighter bound than fp32 has.
-            const double scale = std::max(1.0, std::abs(double{scalar[i]}));
-            EXPECT_LE(std::abs(double{avx2[i]} - scalar[i]), 1e-5 * scale)
-                << "dim " << dim << " n " << n << " row " << i << " metric "
-                << static_cast<int>(metric);
+          const auto all = ScoreAll(&ScanBlocksScalar, metric, query,
+                                    c.matrix);
+          // No floor, and a floor near the 90th percentile score.
+          std::vector<float> floors = {-std::numeric_limits<float>::infinity()};
+          if (const auto floor = GapFloor(all)) floors.push_back(*floor);
+          for (float floor : floors) {
+            const auto want =
+                ScanAll(&ScanBlocksScalar, metric, query, c.matrix, floor);
+            for (const auto& [name, fn] : variants) {
+              const auto got = ScanAll(fn, metric, query, c.matrix, floor);
+              const std::string what =
+                  std::string(name) + " dim " + std::to_string(dim) + " n " +
+                  std::to_string(n) + " metric " +
+                  std::to_string(static_cast<int>(metric)) + " floor " +
+                  std::to_string(floor);
+              ASSERT_EQ(got.size(), want.size()) << what;
+              for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got[i].row, want[i].row) << what;
+                // Relative error, floored at magnitude 1 so a score that
+                // cancels to ~0 is not held to a tighter bound than fp32
+                // has.
+                const double scale =
+                    std::max(1.0, std::abs(double{want[i].score}));
+                EXPECT_LE(std::abs(double{got[i].score} - want[i].score),
+                          1e-5 * scale)
+                    << what << " row " << want[i].row;
+              }
+            }
           }
         }
       }
@@ -285,12 +475,16 @@ TEST(ScanKernelTest, Avx2MatchesScalarReference) {
   }
 }
 
-// TopKScan's exactness rests on this bound: every fp32 kernel score is
-// within (dim + 4) * 2^-24 * scale of the double similarity.
+// TopKScan's exactness rests on this bound: every kernel score of the
+// fp16 row is within the fp32 term, (dim + 4) * 2^-24 * scale, plus the
+// quantization term of the double similarity of the fp32 row. Here the
+// quantization term is the row's own: |fp16(r) - r| / |r| for cosine,
+// |q| |fp16(r) - r| for dot, |fp16(r) - r| (2|q| + 2|r| + |fp16(r) - r|)
+// for L2; TopKScan takes the maxima over all rows and doubles the sum.
 TEST(ScanKernelTest, KernelsStayWithinTheRoundingBound) {
-  std::vector<std::pair<const char*, ScoreBlockFn>> kernels = {
-      {"scalar", &ScoreBlockScalar}};
-  if (CpuHasAvx2Fma()) kernels.emplace_back("avx2", &ScoreBlockAvx2);
+  std::vector<std::pair<const char*, ScanBlocksFn>> kernels = {
+      {"scalar", &ScanBlocksScalar}};
+  for (const auto& v : SimdVariants()) kernels.push_back(v);
   for (int dim : kKernelDims) {
     const KernelCase c = MakeKernelCase(257, dim, 31 * dim);
     for (const auto& query : KernelQueries(dim, 17 * dim)) {
@@ -303,10 +497,21 @@ TEST(ScanKernelTest, KernelsStayWithinTheRoundingBound) {
             double scale = 1.0;
             if (metric == Metric::kDot) scale = qn * rn;
             if (metric == Metric::kL2) scale = (qn + rn) * (qn + rn);
+            double err2 = 0.0;
+            for (int d = 0; d < dim; ++d) {
+              const double e =
+                  double{HalfToFloat(FloatToHalf(c.rows[i][d]))} -
+                  c.rows[i][d];
+              err2 += e * e;
+            }
+            const double err = std::sqrt(err2);
+            double quant = rn > 0.0 ? err / rn : 0.0;
+            if (metric == Metric::kDot) quant = qn * err;
+            if (metric == Metric::kL2) quant = err * (2 * qn + 2 * rn + err);
             const double want =
                 Similarity(metric, query.data(), c.rows[i].data(), dim);
             EXPECT_LE(std::abs(scores[i] - want),
-                      (dim + 4) * std::ldexp(scale, -24))
+                      (dim + 4) * std::ldexp(scale, -24) + quant)
                 << name << " dim " << dim << " row " << i << " metric "
                 << static_cast<int>(metric);
           }
@@ -316,9 +521,19 @@ TEST(ScanKernelTest, KernelsStayWithinTheRoundingBound) {
   }
 }
 
-TEST(ScanKernelTest, DispatchPicksAvx2WhenPresent) {
-  EXPECT_EQ(ScoreBlock() == &ScoreBlockAvx2, CpuHasAvx2Fma());
-  EXPECT_STREQ(ScoreBlockName(), CpuHasAvx2Fma() ? "avx2+fma" : "scalar");
+TEST(ScanKernelTest, DispatchPicksTheWidestVariant) {
+  ScanBlocksFn want = &ScanBlocksScalar;
+  const char* name = "scalar";
+  if (CpuHasAvx2Fma()) {
+    want = &ScanBlocksAvx2;
+    name = "avx2+fma+f16c";
+  }
+  if (CpuHasAvx512()) {
+    want = &ScanBlocksAvx512;
+    name = "avx512f";
+  }
+  EXPECT_EQ(ScanBlocks(), want);
+  EXPECT_STREQ(ScanBlocksName(), name);
 }
 
 TEST(ScanKernelTest, IndexesMatchPlainDoubleScan) {
@@ -388,6 +603,100 @@ TEST(ScanKernelTest, NearTiesAndDuplicatesMatchPlainDoubleScan) {
       }
     }
   }
+}
+
+// Rows the fp16 copy cannot hold well, mixed into a Gaussian corpus:
+// rows of ~1e-6 components (fp16 subnormals, relative error up to a
+// few percent), in the second corpus also rows with one component at
+// 1e5 (beyond fp16 range, so the bound is infinite and every row is
+// rescored), and in the third rows of ~1e-40 components (fp32
+// subnormals: zero in fp16, and too short for an fp32 inverse norm).
+// A query that short is among the queries. Both indexes must still
+// equal the plain double scan.
+TEST(ScanKernelTest, EdgeRowsMatchPlainDoubleScan) {
+  const int dim = 32;
+  for (int edge : {0, 1, 2}) {
+    KernelCase c = MakeKernelCase(0, dim, 0);
+    const auto gauss = RandomVectors(900, dim, 41);
+    for (size_t i = 0; i < gauss.size(); ++i) {
+      std::vector<float> row = gauss[i];
+      if (i % 7 == 3) {
+        for (float& x : row) x *= 1e-6f;
+      }
+      if (edge == 1 && i % 97 == 5) row[i % dim] = 1e5f;
+      if (edge == 2 && i % 97 == 5) {
+        for (float& x : row) x *= 1e-40f;
+      }
+      c.rows.push_back(row);
+      c.labels.push_back((i * 7919) % 10007);
+    }
+    for (Metric metric : kMetrics) {
+      BruteForceIndex exact(dim, metric);
+      IvfIndex::Options opts;
+      opts.num_lists = 8;
+      opts.nprobe = 8;  // every list: exact
+      IvfIndex ivf(dim, metric, opts);
+      for (size_t i = 0; i < c.rows.size(); ++i) {
+        exact.Add(c.labels[i], c.rows[i]);
+        ivf.Add(c.labels[i], c.rows[i]);
+      }
+      exact.Build();
+      ivf.Build();
+      auto queries = KernelQueries(dim, 43);
+      queries.push_back(c.rows[3]);  // an fp16-subnormal row
+      queries.push_back(c.rows[5]);  // 1e5 or 1e-40 in the edge corpora
+      queries.push_back(gauss[6]);
+      for (float& x : queries.back()) x *= 1e-40f;
+      for (const auto& query : queries) {
+        for (size_t k : {size_t{1}, size_t{11}, size_t{50}}) {
+          const auto want = ReferenceTopK(metric, c, query, k);
+          const std::string what =
+              "edge " + std::to_string(edge) + " metric " +
+              std::to_string(static_cast<int>(metric)) + " k " +
+              std::to_string(k);
+          ExpectSameHits(exact.Search(query, k), want, "exact " + what);
+          ExpectSameHits(ivf.Search(query, k), want, "ivf " + what);
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKScanTest, SecondPassOnlyWhenTheBoundRequiresIt) {
+  const int dim = 32;
+  const auto rows = RandomVectors(2000, dim, 51);
+  VectorMatrix m(dim);
+  for (size_t i = 0; i < rows.size(); ++i) m.Add(i, rows[i].data());
+  const auto query = RandomVectors(1, dim, 52)[0];
+  TopKScan plain(Metric::kCosine, query, 10);
+  plain.Scan(m);
+  const auto hits = plain.Finish();
+  EXPECT_FALSE(plain.second_pass());
+
+  // One component beyond fp16 range: no bound, so every row is
+  // rescored, and the answer is unchanged.
+  std::vector<float> wide(dim, 0.0f);
+  wide[0] = 1e5f;
+  VectorMatrix far(dim);
+  far.Add(rows.size(), wide.data());
+  TopKScan rescored(Metric::kCosine, query, 10);
+  rescored.Scan(m);
+  rescored.Scan(far);
+  const auto all = rescored.Finish();
+  EXPECT_TRUE(rescored.second_pass());
+  std::vector<Neighbor> want = hits;
+  const double far_sim =
+      Similarity(Metric::kCosine, query.data(), wide.data(), dim);
+  want.push_back(Neighbor{rows.size(), far_sim});
+  std::sort(want.begin(), want.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.label < b.label;
+            });
+  want.resize(10);
+  ExpectSameHits(all, want, "with a 1e5 row");
 }
 
 }  // namespace

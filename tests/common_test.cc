@@ -525,6 +525,27 @@ TEST(BenchSamplesTest, MergeCombinesSamples) {
   EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
 }
 
+TEST(BenchReportTest, JsonHoldsConfigMetricsAndGates) {
+  bench::Report r("demo");
+  r.Config("kernel", "avx\"2");
+  r.Config("rows", 20000);
+  r.Metric("speedup", 9.5, "x");
+  r.Metric("bad", std::nan(""), "x");
+  r.Gate("speedup", 9.5, ">=", 4.0, true);
+  EXPECT_TRUE(r.passed());
+  EXPECT_EQ(r.Json(),
+            "{\"name\": \"demo\",\n"
+            " \"config\": {\"kernel\": \"avx\\\"2\", \"rows\": 20000},\n"
+            " \"metrics\": {\"speedup\": {\"value\": 9.5, \"unit\": \"x\"}, "
+            "\"bad\": {\"value\": null, \"unit\": \"x\"}},\n"
+            " \"gates\": {\"speedup\": {\"value\": 9.5, \"op\": \">=\", "
+            "\"threshold\": 4, \"pass\": true}},\n"
+            " \"pass\": true}\n");
+  r.Gate("mismatches", 1, "==", 0, false);
+  EXPECT_FALSE(r.passed());
+  EXPECT_NE(r.Json().find("\"pass\": false}\n"), std::string::npos);
+}
+
 TEST(MetricsTest, StopwatchAdvances) {
   Stopwatch sw;
   std::this_thread::sleep_for(std::chrono::milliseconds(5));

@@ -396,6 +396,37 @@ TEST_F(KvStoreRecoveryTest, MalformedSstNamesAreSkippedWithoutSeqCollision) {
   EXPECT_EQ((*reopened)->Get("b").value(), "2");
 }
 
+TEST_F(KvStoreRecoveryTest, OverflowingSeqNamesAreSkipped) {
+  {
+    auto store = KvStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("a", "1").ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // 2^64 would wrap to seq 0, colliding with sst_00000000.sst; 2^64 - 1
+  // leaves no successor for the next table; 10^20 would wrap to a WAL
+  // segment seq and reorder replay.
+  ASSERT_TRUE(
+      WriteStringToFile(JoinPath(dir_, "sst_18446744073709551616.sst"), "x")
+          .ok());
+  ASSERT_TRUE(
+      WriteStringToFile(JoinPath(dir_, "sst_18446744073709551615.sst"), "x")
+          .ok());
+  ASSERT_TRUE(
+      WriteStringToFile(JoinPath(dir_, "wal_100000000000000000000.log"), "x")
+          .ok());
+
+  auto reopened = KvStore::Open(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->recovery_stats().malformed_names_skipped, 3u);
+  EXPECT_EQ((*reopened)->recovery_stats().wal_segments_replayed, 0u);
+  EXPECT_EQ((*reopened)->Get("a").value(), "1");
+  ASSERT_TRUE((*reopened)->Put("b", "2").ok());
+  ASSERT_TRUE((*reopened)->Flush().ok());
+  EXPECT_EQ((*reopened)->Get("a").value(), "1");
+  EXPECT_EQ((*reopened)->Get("b").value(), "2");
+}
+
 TEST_F(KvStoreRecoveryTest, LeftoverTmpFilesAreRemoved) {
   {
     auto store = KvStore::Open(dir_);
