@@ -7,8 +7,9 @@
 // accurate-preset Annotate must match, span, entity and score bits, an
 // in-bench copy of the path it replaced (a Tokenize-based embed of each
 // mention's own context window, each profile copied under a lock and
-// decoded float by float) and be >= 1.5x faster. Exits non-zero on
-// violation.
+// decoded float by float) and be >= 1.5x faster. It writes
+// BENCH_fig4_annotation.json at the repository root and exits non-zero
+// on violation.
 
 #include <benchmark/benchmark.h>
 
@@ -420,7 +421,28 @@ int RunGate() {
   std::printf("gate docs mismatched    %10d == 0      %s\n", mismatches,
               mismatches == 0 ? "PASS" : "FAIL");
   (void)RemoveDirRecursively(*dir);
-  const bool ok = speed_ok && mismatches == 0;
+
+  bench::Report report("fig4_annotation");
+  report.Config("preset", "accurate");
+  report.Config("entities", static_cast<double>(env.gen.kg.num_entities()));
+  report.Config("docs", static_cast<double>(docs.size()));
+  report.Config("reps", kGateReps);
+  report.Metric("annotations", static_cast<double>(annotations), "count");
+  report.Metric("reference_us_per_doc", ref_us, "us");
+  report.Metric("annotator_us_per_doc", new_us, "us");
+  report.Metric("speedup", speedup, "x");
+  report.Metric("docs_mismatched", mismatches, "count");
+  report.Metric("cache_memory_hits", static_cast<double>(stats.memory_hits),
+                "count");
+  report.Metric("cache_disk_hits", static_cast<double>(stats.disk_hits),
+                "count");
+  report.Metric("cache_misses", static_cast<double>(stats.misses), "count");
+  report.Gate("speedup", speedup, ">=", kMinSpeedup, speed_ok);
+  report.Gate("docs_mismatched", mismatches, "==", 0, mismatches == 0);
+  const std::string path = report.Write(SAGA_REPO_ROOT);
+  std::printf("wrote %s\n", path.empty() ? "nothing (write failed)"
+                                          : path.c_str());
+  const bool ok = report.passed() && !path.empty();
   std::printf(ok ? "annotation gate: OK\n" : "annotation gate: FAILED\n");
   return ok ? 0 : 1;
 }

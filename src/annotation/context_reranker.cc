@@ -11,35 +11,44 @@ ContextReranker::ContextReranker(const kg::KnowledgeGraph* kg,
                                  Options options)
     : kg_(kg), options_(options) {}
 
-std::string ContextReranker::EntityProfileText(kg::EntityId id) const {
+std::vector<std::string_view> ContextReranker::ProfilePieces(
+    kg::EntityId id) const {
   const kg::EntityRecord& rec = kg_->catalog().record(id);
-  std::string profile = rec.canonical_name;
-  profile += " ";
-  profile += rec.description;
+  std::vector<std::string_view> pieces;
+  pieces.reserve(2 + rec.types.size() + 2 * 24);
+  pieces.push_back(rec.canonical_name);
+  pieces.push_back(rec.description);
   for (kg::TypeId t : rec.types) {
-    profile += " ";
-    profile += kg_->ontology().type_name(t);
+    pieces.push_back(kg_->ontology().type_name(t));
   }
-  if (options_.name_only_profiles) return profile;  // distilled tier
+  if (options_.name_only_profiles) return pieces;  // distilled tier
   // Graph neighborhood: names of linked entities carry exactly the
   // context words that disambiguate namesakes (team names for the
   // player, university names for the professor).
   size_t neighbors = 0;
   for (kg::TripleIdx idx : kg_->triples().BySubject(id)) {
     const kg::Triple& t = kg_->triples().triple(idx);
-    profile += " ";
-    profile += kg_->ontology().predicate(t.predicate).surface_form;
+    pieces.push_back(kg_->ontology().predicate(t.predicate).surface_form);
     if (t.object.is_entity()) {
-      profile += " ";
-      profile += kg_->catalog().name(t.object.entity());
+      pieces.push_back(kg_->catalog().name(t.object.entity()));
     }
     if (++neighbors >= 24) break;
+  }
+  return pieces;
+}
+
+std::string ContextReranker::EntityProfileText(kg::EntityId id) const {
+  const std::vector<std::string_view> pieces = ProfilePieces(id);
+  std::string profile(pieces[0]);
+  for (size_t i = 1; i < pieces.size(); ++i) {
+    profile += ' ';
+    profile += pieces[i];
   }
   return profile;
 }
 
 std::vector<float> ContextReranker::ProfileVector(kg::EntityId id) const {
-  return vectorizer_.Embed(EntityProfileText(id));
+  return vectorizer_.EmbedPieces(ProfilePieces(id));
 }
 
 Status ContextReranker::PrecomputeProfiles(

@@ -42,8 +42,8 @@ class ContextReranker {
   ContextReranker(const kg::KnowledgeGraph* kg);
   ContextReranker(const kg::KnowledgeGraph* kg, Options options);
 
-  /// Builds the textual profile text of an entity (name + description +
-  /// type names + neighbor names + literal facts).
+  /// The textual profile of an entity: its ProfilePieces joined by
+  /// single spaces.
   std::string EntityProfileText(kg::EntityId id) const;
 
   /// Precomputes every entity's profile embedding into the given cache
@@ -74,6 +74,13 @@ class ContextReranker {
   const text::HashingVectorizer& vectorizer() const { return vectorizer_; }
 
  private:
+  /// The profile's pieces, views into the KG: name, description, type
+  /// names, then (unless name_only_profiles) up to 24 of the entity's
+  /// facts as predicate surface form and, for an entity object, the
+  /// neighbor's name.
+  std::vector<std::string_view> ProfilePieces(kg::EntityId id) const;
+  /// vectorizer().Embed(EntityProfileText(id)), embedded from the pieces
+  /// without joining them.
   std::vector<float> ProfileVector(kg::EntityId id) const;
 
   const kg::KnowledgeGraph* kg_;

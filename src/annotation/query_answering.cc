@@ -1,7 +1,6 @@
 #include "annotation/query_answering.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -11,28 +10,53 @@ namespace saga::annotation {
 
 QueryAnswerer::QueryAnswerer(const kg::KnowledgeGraph* kg,
                              const serving::FactRanker* ranker)
-    : kg_(kg), ranker_(ranker), annotator_(kg, nullptr) {}
+    : kg_(kg), ranker_(ranker), annotator_(kg, nullptr) {
+  for (const kg::PredicateMeta& meta : kg_->ontology().predicates()) {
+    predicate_tokens_.push_back(TokenizePredicate(meta));
+  }
+}
+
+QueryAnswerer::PredicateTokens QueryAnswerer::TokenizePredicate(
+    const kg::PredicateMeta& meta) {
+  PredicateTokens out;
+  for (text::Token& t : text::Tokenize(meta.surface_form)) {
+    out.surface.push_back(std::move(t.text));
+  }
+  for (text::Token& t : text::Tokenize(meta.name)) {
+    out.name.push_back(std::move(t.text));
+  }
+  return out;
+}
 
 kg::PredicateId QueryAnswerer::ResolvePredicate(
     const std::vector<std::string>& tokens, kg::EntityId subject) const {
-  const std::set<std::string> token_set(tokens.begin(), tokens.end());
+  // The remainder is a few tokens: a linear scan beats building a set.
+  auto in_query = [&tokens](const std::string& t) {
+    return std::find(tokens.begin(), tokens.end(), t) != tokens.end();
+  };
+  const std::vector<kg::PredicateMeta>& predicates =
+      kg_->ontology().predicates();
   kg::PredicateId best;
   double best_score = 0.0;
-  for (const kg::PredicateMeta& meta : kg_->ontology().predicates()) {
+  PredicateTokens added;
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    const kg::PredicateMeta& meta = predicates[i];
+    if (i >= predicate_tokens_.size()) added = TokenizePredicate(meta);
+    const PredicateTokens& toks =
+        i < predicate_tokens_.size() ? predicate_tokens_[i] : added;
     // Base score: fraction of the predicate's surface-form tokens
     // present in the query remainder (raw name as a fallback).
     double score = 0.0;
     size_t hits = 0;
-    const auto surface_tokens = text::Tokenize(meta.surface_form);
-    if (!surface_tokens.empty()) {
-      for (const auto& t : surface_tokens) {
-        if (token_set.count(t.text)) ++hits;
+    if (!toks.surface.empty()) {
+      for (const std::string& t : toks.surface) {
+        if (in_query(t)) ++hits;
       }
       score = static_cast<double>(hits) /
-              static_cast<double>(surface_tokens.size());
+              static_cast<double>(toks.surface.size());
     }
-    for (const auto& t : text::Tokenize(meta.name)) {
-      if (token_set.count(t.text)) score = std::max(score, 0.9);
+    for (const std::string& t : toks.name) {
+      if (in_query(t)) score = std::max(score, 0.9);
     }
     if (score < 0.99) continue;
     // Tiebreakers among full matches: prefer longer surface matches

@@ -47,6 +47,13 @@ class QueryAnswerer {
   Result<Answer> Ask(std::string_view query, const RequestContext& ctx) const;
 
  private:
+  /// The lowercased tokens of one predicate's surface form and name.
+  struct PredicateTokens {
+    std::vector<std::string> surface;
+    std::vector<std::string> name;
+  };
+  static PredicateTokens TokenizePredicate(const kg::PredicateMeta& meta);
+
   /// Shared pipeline; `ctx` null for the deadline-less overload.
   Status AskImpl(std::string_view query, const RequestContext* ctx,
                  Answer* answer) const;
@@ -59,6 +66,11 @@ class QueryAnswerer {
   const kg::KnowledgeGraph* kg_;
   const serving::FactRanker* ranker_;
   Annotator annotator_;
+  /// TokenizePredicate of each predicate the ontology held at
+  /// construction, in ontology order. The ontology is append-only, so a
+  /// predicate added later (WebLinker's "mentioned in") has an id past
+  /// the end and is tokenized per call instead.
+  std::vector<PredicateTokens> predicate_tokens_;
 };
 
 }  // namespace saga::annotation

@@ -1,6 +1,5 @@
 #include "text/hashing_vectorizer.h"
 
-#include <cctype>
 #include <cmath>
 #include <set>
 #include <string>
@@ -44,32 +43,43 @@ void HashingVectorizer::AddHashedWeight(uint64_t h, double weight,
 }
 
 std::vector<float> HashingVectorizer::Embed(std::string_view text) const {
+  return EmbedPieces({&text, 1});
+}
+
+std::vector<float> HashingVectorizer::EmbedPieces(
+    std::span<const std::string_view> pieces) const {
   std::vector<float> vec(options_.dim, 0.0f);
-  // One pass with Tokenize's word rule, lowercasing each token into one
-  // reused buffer. Features are added in Tokenize order (u0, b01, u1,
-  // b12, ...), so every float sums exactly as before.
+  // One pass with Tokenize's word rule. Each byte of a token is
+  // lowercased and fed to FNV-1a as it is read, for the token's hash and
+  // for its bigram's, which streams on from the previous token's hash
+  // (Hash64(prev + "_" + token)). Features are added in Tokenize order
+  // (u0, b01, u1, b12, ...), so every float sums exactly as an embed
+  // over Tokenize's output would (text_test keeps one as its oracle).
+  // The token's text is built only for the idf lookup.
+  const bool idf = options_.use_idf && num_docs_ > 0;
   std::string token;
   uint64_t prev_hash = 0;
   bool have_prev = false;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsWordChar(text[i])) ++i;
-    if (i >= text.size()) break;
-    token.clear();
-    for (; i < text.size() && IsWordChar(text[i]); ++i) {
-      token.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(text[i]))));
+  for (std::string_view piece : pieces) {
+    size_t i = 0;
+    while (i < piece.size()) {
+      while (i < piece.size() && !IsWordChar(piece[i])) ++i;
+      if (i >= piece.size()) break;
+      const bool bigram = options_.use_bigrams && have_prev;
+      uint64_t h = Hash64({});
+      uint64_t joined = bigram ? Hash64("_", prev_hash) : 0;
+      token.clear();
+      for (; i < piece.size() && IsWordChar(piece[i]); ++i) {
+        const char c = AsciiToLower(piece[i]);
+        h = Hash64({&c, 1}, h);
+        if (bigram) joined = Hash64({&c, 1}, joined);
+        if (idf) token.push_back(c);
+      }
+      if (bigram) AddHashedWeight(joined, 0.5, &vec);
+      AddHashedWeight(h, IdfWeight(token), &vec);
+      prev_hash = h;
+      have_prev = true;
     }
-    const uint64_t h = Hash64(token);
-    if (options_.use_bigrams && have_prev) {
-      // FNV-1a streams: hashing "_" and then this token on from the
-      // previous token's hash is Hash64(prev + "_" + token).
-      const uint64_t joined = Hash64("_", prev_hash);
-      AddHashedWeight(Hash64(token, joined), 0.5, &vec);
-    }
-    AddHashedWeight(h, IdfWeight(token), &vec);
-    prev_hash = h;
-    have_prev = true;
   }
   double norm_sq = 0.0;
   for (float v : vec) norm_sq += static_cast<double>(v) * v;

@@ -2,6 +2,7 @@
 #define SAGA_TEXT_HASHING_VECTORIZER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -36,6 +37,12 @@ class HashingVectorizer {
 
   /// Dense L2-normalized embedding of `text`.
   std::vector<float> Embed(std::string_view text) const;
+
+  /// Embed of the pieces joined by single spaces, computed without
+  /// joining them: EmbedPieces({a, b}) equals Embed(a + " " + b) bit for
+  /// bit. A token never spans two pieces; a bigram may.
+  std::vector<float> EmbedPieces(
+      std::span<const std::string_view> pieces) const;
 
   /// Cosine similarity of two vectors from this vectorizer (assumes
   /// both are L2-normalized, so this is a dot product).

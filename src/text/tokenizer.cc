@@ -15,12 +15,10 @@ std::vector<Token> Tokenize(std::string_view text) {
     Token tok;
     tok.begin = begin;
     tok.end = i;
-    tok.capitalized =
-        std::isupper(static_cast<unsigned char>(text[begin])) != 0;
+    tok.capitalized = IsAsciiUpper(text[begin]);
     tok.text.reserve(i - begin);
     for (size_t j = begin; j < i; ++j) {
-      tok.text.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(text[j]))));
+      tok.text.push_back(AsciiToLower(text[j]));
     }
     tokens.push_back(std::move(tok));
   }

@@ -1,18 +1,27 @@
 #ifndef SAGA_TEXT_TOKENIZER_H_
 #define SAGA_TEXT_TOKENIZER_H_
 
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace saga::text {
 
+/// ASCII character classes and case folding, equal to <cctype>'s
+/// isalnum, isupper and tolower in the C locale (the program never calls
+/// setlocale) but inline, with no locale lookup: bytes >= 0x80 are never
+/// letters or digits and fold to themselves.
+inline bool IsAsciiUpper(char c) { return c >= 'A' && c <= 'Z'; }
+inline bool IsAsciiAlnum(char c) {
+  return (c >= '0' && c <= '9') || IsAsciiUpper(c) || (c >= 'a' && c <= 'z');
+}
+inline char AsciiToLower(char c) {
+  return IsAsciiUpper(c) ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// The word-character rule of Tokenize: ASCII alphanumerics and the
 /// apostrophe ("don't" is one token).
-inline bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'';
-}
+inline bool IsWordChar(char c) { return IsAsciiAlnum(c) || c == '\''; }
 
 /// One token with its byte span in the original text. Spans let the
 /// mention detector map token matches back to character offsets.

@@ -193,6 +193,35 @@ TEST(ContextRerankerTest, CachedProfilesMatchOnTheFly) {
   (void)RemoveDirRecursively(*dir);
 }
 
+// ProfileVector embeds the profile's pieces without joining them; what
+// PrecomputeProfiles caches must be the embedding of the joined
+// EntityProfileText, bit for bit, for the full and the name-only profile.
+TEST(ContextRerankerTest, PrecomputedProfilesEqualEmbedOfProfileText) {
+  kg::GeneratedKg gen = MakeKg();
+  for (bool name_only : {false, true}) {
+    ContextReranker::Options opts;
+    opts.name_only_profiles = name_only;
+    ContextReranker reranker(&gen.kg, opts);
+    auto dir = MakeTempDir("saga_profile_bits");
+    ASSERT_TRUE(dir.ok());
+    auto cache = serving::EmbeddingKvCache::Open(*dir, 1 << 16);
+    ASSERT_TRUE(cache.ok());
+    ASSERT_TRUE(reranker.PrecomputeProfiles(cache->get()).ok());
+    for (const auto& rec : gen.kg.catalog().records()) {
+      auto cached = (*cache)->Get(rec.id);
+      ASSERT_TRUE(cached.ok()) << rec.id.value();
+      const std::vector<float> want =
+          reranker.vectorizer().Embed(reranker.EntityProfileText(rec.id));
+      ASSERT_EQ(cached->size(), want.size());
+      ASSERT_EQ(std::memcmp(cached->data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "entity " << rec.id.value() << " name_only=" << name_only;
+    }
+    (void)RemoveDirRecursively(*dir);
+  }
+}
+
 // ---------- Annotator end-to-end ----------
 
 struct AnnotationQuality {

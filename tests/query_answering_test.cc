@@ -92,6 +92,39 @@ TEST(QueryAnsweringTest, AnswersLiteralFactQuery) {
   EXPECT_EQ(answer.facts[0].object.kind(), kg::Value::Kind::kDate);
 }
 
+// The answerer tokenizes the ontology's predicates once, at
+// construction; one added afterwards (as WebLinker adds "mentioned in")
+// must still resolve, read from the ontology rather than past the end of
+// the precomputed tokens.
+TEST(QueryAnsweringTest, PredicateAddedAfterConstructionResolves) {
+  QaFixture f = QaFixture::Make();
+  QueryAnswerer answerer(&f.gen.kg, nullptr);
+  const kg::EntityId actor =
+      FindUnambiguous(f, f.gen.schema.actor, f.gen.schema.acted_in);
+  ASSERT_TRUE(actor.valid());
+
+  kg::PredicateMeta meta;
+  meta.name = "stage_nickname";
+  meta.range_kind = kg::Value::Kind::kString;
+  meta.surface_form = "zorblax nickname";
+  const kg::PredicateId added = f.gen.kg.ontology().AddPredicate(meta);
+  f.gen.kg.AddFact(actor, added, kg::Value::String("the zorb"),
+                   f.gen.kg.AddSource("test", 1.0));
+
+  const auto answer = answerer.Ask(
+      ToLower(f.gen.kg.catalog().name(actor)) + " zorblax nickname");
+  ASSERT_TRUE(answer.answered) << answer.explanation;
+  EXPECT_EQ(answer.subject, actor);
+  EXPECT_EQ(answer.predicate, added);
+  ASSERT_EQ(answer.facts.size(), 1u);
+  EXPECT_EQ(answer.facts[0].object, kg::Value::String("the zorb"));
+
+  // Predicates from before construction resolve as they did.
+  const auto movies =
+      answerer.Ask(ToLower(f.gen.kg.catalog().name(actor)) + " movies");
+  EXPECT_EQ(movies.predicate, f.gen.schema.acted_in);
+}
+
 TEST(QueryAnsweringTest, QueryContextDisambiguatesNamesakes) {
   // A player and a professor sharing a name: "X team" should resolve
   // to the athlete, "X university" to the professor.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -17,6 +19,17 @@ namespace saga::text {
 namespace {
 
 // ---------- Tokenizer ----------
+
+// The ASCII helpers stand in for <cctype> in the C locale; nothing in
+// the program calls setlocale.
+TEST(TokenizerTest, AsciiHelpersMatchCctypeForEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(IsAsciiAlnum(c), std::isalnum(b) != 0) << b;
+    EXPECT_EQ(IsAsciiUpper(c), std::isupper(b) != 0) << b;
+    EXPECT_EQ(AsciiToLower(c), static_cast<char>(std::tolower(b))) << b;
+  }
+}
 
 TEST(TokenizerTest, BasicTokensWithSpans) {
   const std::string s = "Michael Jordan, stats!";
@@ -269,6 +282,56 @@ TEST(VectorizerTest, OnePassEmbedMatchesTokenizeOracleBitForBit) {
       }
     }
   }
+}
+
+// Each input split at random points (empty pieces included) and
+// embedded as pieces must equal Embed of the pieces joined by single
+// spaces, bit for bit.
+TEST(VectorizerTest, EmbedPiecesMatchesEmbedOfSpaceJoinedText) {
+  const std::vector<std::string> inputs = EmbedDifferentialInputs();
+  const std::vector<std::string> fit_docs(inputs.begin() + 100,
+                                          inputs.begin() + 200);
+  for (int dim : {1, 7, 64, 256}) {
+    for (bool bigrams : {false, true}) {
+      for (bool fitted : {false, true}) {
+        HashingVectorizer::Options opts;
+        opts.dim = dim;
+        opts.use_bigrams = bigrams;
+        HashingVectorizer vec(opts);
+        if (fitted) vec.FitDf(fit_docs);
+        Rng rng(20261020 + dim);
+        for (size_t i = 0; i < inputs.size(); ++i) {
+          const std::string_view input = inputs[i];
+          // 0-5 cuts; repeated cuts and cuts at either end make empty
+          // pieces.
+          std::vector<size_t> cuts = {0, input.size()};
+          for (uint64_t c = rng.Uniform(6); c > 0; --c) {
+            cuts.push_back(rng.Uniform(input.size() + 1));
+          }
+          std::sort(cuts.begin(), cuts.end());
+          std::vector<std::string_view> pieces;
+          std::string joined;
+          for (size_t j = 0; j + 1 < cuts.size(); ++j) {
+            pieces.push_back(input.substr(cuts[j], cuts[j + 1] - cuts[j]));
+            if (j > 0) joined += ' ';
+            joined += pieces.back();
+          }
+          const std::vector<float> got = vec.EmbedPieces(pieces);
+          const std::vector<float> want = vec.Embed(joined);
+          ASSERT_EQ(got.size(), want.size());
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "dim=" << dim << " bigrams=" << bigrams
+              << " fitted=" << fitted << " input #" << i << " in "
+              << pieces.size() << " pieces";
+        }
+      }
+    }
+  }
+  // No pieces at all is the empty text.
+  HashingVectorizer vec;
+  EXPECT_EQ(vec.EmbedPieces({}), vec.Embed(""));
 }
 
 // ---------- AhoCorasick ----------
